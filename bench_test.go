@@ -153,9 +153,9 @@ func BenchmarkFullSyncStabilization(b *testing.B) {
 	}
 }
 
-// BenchmarkDiameterAPSP measures the all-pairs BFS underlying every
-// topology constant.
-func BenchmarkDiameterAPSP(b *testing.B) {
+// BenchmarkDiameterSweep measures diam(g) on a graph that is neither a
+// cycle nor a tree: the eccentricity sweep, one BFS per source.
+func BenchmarkDiameterSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g := graph.Torus(8, 8)
 		if g.Diameter() != 8 {

@@ -34,6 +34,9 @@ type Protocol struct {
 
 	g    *graph.Graph
 	root int
+	// dist holds the true BFS distances from root, read by the Correct
+	// and ErrorMass predicates.
+	dist []int
 }
 
 // New builds the protocol on g rooted at root.
@@ -41,7 +44,7 @@ func New(g *graph.Graph, root int) (*Protocol, error) {
 	if root < 0 || root >= g.N() {
 		return nil, fmt.Errorf("bfstree: root %d out of range [0,%d)", root, g.N())
 	}
-	return &Protocol{g: g, root: root}, nil
+	return &Protocol{g: g, root: root, dist: g.BFSDistances(root)}, nil
 }
 
 // MustNew is New that panics on error.
@@ -139,7 +142,7 @@ var _ sim.Local = (*Protocol)(nil)
 // from the root — the silent protocol's unique terminal configuration.
 func (p *Protocol) Correct(c sim.Config[int]) bool {
 	for v := 0; v < p.g.N(); v++ {
-		if c[v] != p.g.Dist(p.root, v) {
+		if c[v] != p.dist[v] {
 			return false
 		}
 	}
@@ -152,7 +155,7 @@ func (p *Protocol) Correct(c sim.Config[int]) bool {
 func (p *Protocol) ErrorMass(c sim.Config[int]) float64 {
 	mass := 0.0
 	for v := 0; v < p.g.N(); v++ {
-		d := c[v] - p.g.Dist(p.root, v)
+		d := c[v] - p.dist[v]
 		if d < 0 {
 			d = -d
 		}

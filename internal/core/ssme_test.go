@@ -262,3 +262,21 @@ func TestSingleVertexDegenerate(t *testing.T) {
 		t.Errorf("solo vertex should never violate safety, got convergence %d", rep.ConvergenceSteps)
 	}
 }
+
+// TestNewAtScale builds SSME on a 2¹⁷-ring, whose diameter 65536 is past
+// any int16 distance and whose all-pairs distances would need tens of
+// gigabytes: the clock size and privilege spacing only need diam(g).
+func TestNewAtScale(t *testing.T) {
+	t.Parallel()
+	const n = 1 << 17
+	p, err := New(graph.Ring(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := p.Graph().Diameter(); d != n/2 {
+		t.Fatalf("diameter %d, want %d", d, n/2)
+	}
+	if want := (2*n-1)*(n/2+1) + 2; p.Clock().K != want {
+		t.Errorf("clock K=%d, want (2n−1)(diam+1)+2 = %d", p.Clock().K, want)
+	}
+}

@@ -4,20 +4,20 @@
 // each other's state.
 //
 // Besides construction and adjacency queries, the package computes the
-// topology constants the protocols need: all-pairs distances and the
-// diameter diam(g) (SSME's clock size and privilege spacing), and the
-// constants hole(g) and cyclo(g) governing the parameters of the underlying
-// asynchronous unison of Boulinier, Petit and Villain (see internal/unison).
-// hole(g) is computed exactly by exhaustive search on small graphs and
-// bounded by n otherwise, which is always safe because SSME instantiates
-// α = n ≥ hole(g) − 2 and K > n ≥ cyclo(g).
+// topology constants the protocols need: eccentricities, the diameter
+// diam(g) (SSME's clock size and privilege spacing) and single-source
+// distances, in O(n) memory, and the constants hole(g) and cyclo(g)
+// governing the parameters of the underlying asynchronous unison of
+// Boulinier, Petit and Villain (see internal/unison). hole(g) is computed
+// exactly by exhaustive search on small graphs and bounded by n otherwise,
+// which is always safe because SSME instantiates α = n ≥ hole(g) − 2 and
+// K > n ≥ cyclo(g).
 package graph
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Graph is an immutable simple connected undirected graph. Vertices are the
@@ -30,14 +30,10 @@ type Graph struct {
 	adj  [][]int
 	m    int
 
-	// Lazily computed metric caches (nil/0 until first use). A Graph is
-	// logically immutable, so the caches are memoized on first access;
-	// distOnce makes that first access safe under the concurrent engines
-	// of the parallel experiment harness.
-	distOnce sync.Once
-	dist     [][]int16
-	diam     int
-	ecc      []int
+	// Lazily computed distance metrics (see metrics.go). A Graph is
+	// logically immutable, so they are memoized on first access, safely
+	// under the concurrent engines of the parallel experiment harness.
+	met metricCache
 
 	// Memoized compressed-sparse-row adjacency view (see csr.go).
 	csrc csrCache
@@ -72,7 +68,7 @@ func New(name string, n int, edges [][2]int) (*Graph, error) {
 	for _, ns := range adj {
 		sort.Ints(ns)
 	}
-	g := &Graph{name: name, adj: adj, m: len(seen), diam: -1}
+	g := &Graph{name: name, adj: adj, m: len(seen)}
 	if !g.connected() {
 		return nil, errors.New("graph: not connected")
 	}

@@ -378,8 +378,16 @@ func (e *Engine[S]) startRound() {
 // settleRound discharges owed vertices after a step: a vertex is settled
 // once it has been activated or is observed disabled. When all are
 // settled, a round completes and the next one is charged. Both lists are
-// sorted, so one merge pass compacts the owed list in place.
+// sorted, so one merge pass compacts the owed list in place. A selection
+// is a subset of the enabled vertices, so when all n fired every owed
+// vertex is discharged by firing and the merge is skipped — the steady
+// state of a synchronous execution.
 func (e *Engine[S]) settleRound(activated []int) {
+	if len(activated) == e.p.N() {
+		e.rounds++
+		e.startRound()
+		return
+	}
 	w, j := 0, 0
 	for _, v := range e.owedList {
 		for j < len(activated) && activated[j] < v {
