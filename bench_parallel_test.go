@@ -1,9 +1,10 @@
 // Multi-core scaling benchmarks of the persistent shard pool and the
 // fused synchronous fast path (DESIGN.md §11): whole engine steps on the
 // flat backend, sequential vs shard-parallel, on unison rings of 65536
-// and 1048576 vertices in the full-width steady state. BENCH_parallel.json
-// records a baseline run; E12d reports the same quantities from the
-// experiment harness.
+// and 1048576 vertices in the full-width steady state, and SSME on the
+// 8192-ring the repository benchmark's sim-ssme-sd workload steps.
+// BENCH_parallel.json records them; E12d reports the unison quantities
+// from the experiment harness.
 //
 // The parallel sub-benchmarks use Workers:0 (the GOMAXPROCS default), so
 // the worker count follows the -cpu flag — the CI smoke step runs
@@ -20,7 +21,9 @@ import (
 	"runtime"
 	"testing"
 
+	"specstab/internal/core"
 	"specstab/internal/daemon"
+	"specstab/internal/graph"
 	"specstab/internal/sim"
 )
 
@@ -72,6 +75,50 @@ func BenchmarkParallelStepUnisonRing(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("ring-%d/workers-max", n), func(b *testing.B) {
 			benchParallelStep(b, n, 0)
+		})
+	}
+}
+
+// BenchmarkSyncStepSSMERing8192 is the in-tree mirror of the sim-ssme-sd
+// workload of the repository benchmark (bench/sim.go): synchronous SSME
+// steps on an 8192-ring, flat backend, in the steady state where every
+// vertex fires NA each step. The workload reaches that state from a
+// random start; the uniform-0 start is already in it (under sd all clocks
+// of Γ₁ tick together), so two untimed steps only size the scratch
+// buffers. It reports ns/vertex and allocs/op — a steady-state step
+// allocates nothing (TestFusedStepZeroAlloc in internal/sim pins it):
+//
+//	go test -bench SyncStepSSMERing8192 -run '^$' -count 5 .
+func BenchmarkSyncStepSSMERing8192(b *testing.B) {
+	const n = 8192
+	b.Logf("machine: %s", machineString())
+	p := core.MustNew(graph.Ring(n))
+	initial, err := p.UniformConfig(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+			e, err := sim.NewEngineWith[int](p, daemon.NewSynchronous[int](), initial, 1,
+				sim.Options{Backend: sim.BackendFlat, Workers: workers})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Close()
+			for i := 0; i < 2; i++ {
+				if _, err := e.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/vertex")
 		})
 	}
 }

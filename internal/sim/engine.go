@@ -127,8 +127,23 @@ type Engine[S comparable] struct {
 	pool      *Pool
 	owned     bool
 	cleanup   runtime.Cleanup
-	arenas    [][]int // per-shard enabled-list arenas (refreshDense/rescan)
-	offsets   []int   // arena concatenation offsets scratch
+
+	// Enabled-list rebuilds (refreshDense, rescan): every shard collects
+	// its enabled vertices into its own range of the output buffer
+	// collect and records the run in runs[shard] (one slot per worker:
+	// the shard count never exceeds it); compactRuns joins them.
+	collect []int
+	runs    []enabledRun
+
+	// Hoisted shard bodies: method values bound once at construction, so
+	// dispatching the dense synchronous step's shards — and handing an
+	// epoch to the pool — allocates nothing (a closure literal passed to
+	// forShards escapes and is heap-allocated on every call). job is the
+	// epoch forShards is running; runJob reads it.
+	job           shardJob
+	runJob        func(shard int)
+	applyAllFn    func(shard, lo, hi int)
+	refreshFlatFn func(shard, lo, hi int)
 
 	// guardEvals counts EnabledRule evaluations made by the engine itself
 	// (rescans, incremental refreshes, rule lookups, round settlement),
@@ -189,7 +204,11 @@ func NewEngineWith[S comparable](p Protocol[S], d Daemon[S], initial Config[S], 
 		workers:   workers,
 		shardSize: shardSize,
 		shardErrs: make([]error, workers),
+		runs:      make([]enabledRun, workers),
 	}
+	e.runJob = e.runShardJob
+	e.applyAllFn = e.applyAllShard
+	e.refreshFlatFn = e.refreshFlatShard
 	if workers > 1 {
 		if opts.Pool != nil {
 			e.pool = opts.Pool
@@ -257,19 +276,16 @@ func (e *Engine[S]) seedEnabled() { e.refreshDense() }
 // the enabled list — cheaper than dirty-set bookkeeping once a sizable
 // fraction of the vertices fired (the synchronous-daemon regime: no
 // influence-set iteration, no mark churn, no sort). Each shard evaluates
-// its guard range and collects its enabled vertices into a per-shard
-// arena in the same pass; the arenas are then concatenated in shard
-// order, so the rebuilt list is identical for every worker count.
+// its guard range and collects its enabled vertices in the same pass
+// (collectRun); compactRuns then joins the runs in shard order, so the
+// rebuilt list is identical for every worker count.
 func (e *Engine[S]) refreshDense() {
 	n := e.p.N()
 	e.guardEvals += int64(n)
-	arenas := e.shardArenas()
+	e.collect = growSlice(e.enabledAlt, n)
 	var shards int
 	if e.fl != nil {
-		shards = e.forShards(n, func(sh, lo, hi int) {
-			e.fl.EnabledRuleFlat(e.st, e.w, 0, e.allVerts[lo:hi], e.ruleOf[lo:hi])
-			arenas[sh] = appendEnabled(arenas[sh][:0], e.ruleOf, lo, hi)
-		})
+		shards = e.forShards(n, e.refreshFlatFn)
 	} else {
 		shards = e.forShards(n, func(sh, lo, hi int) {
 			for v := lo; v < hi; v++ {
@@ -279,63 +295,60 @@ func (e *Engine[S]) refreshDense() {
 				}
 				e.ruleOf[v] = r
 			}
-			arenas[sh] = appendEnabled(arenas[sh][:0], e.ruleOf, lo, hi)
+			e.collectRun(sh, lo, e.ruleOf[lo:hi])
 		})
 	}
 	// Swap the maintained list with the spare buffer: the old backing array
-	// stays intact (as enabledAlt[:0]) until the next rebuild appends to
+	// stays intact (as enabledAlt[:0]) until the next rebuild writes to
 	// it, which is what keeps a selection aliasing the old list — the fused
 	// synchronous step's activated slice — valid through round settlement
 	// and the hook pipeline.
-	out := e.concatArenas(e.enabledAlt, shards)
+	out := e.compactRuns(shards)
 	e.enabledAlt = e.enabled[:0]
 	e.enabled = out
 }
 
-// shardArenas sizes the per-shard arena table to the worker bound (the
-// shard count never exceeds it) and returns it.
-func (e *Engine[S]) shardArenas() [][]int {
-	if cap(e.arenas) < e.workers {
-		e.arenas = make([][]int, e.workers)
-	}
-	e.arenas = e.arenas[:e.workers]
-	return e.arenas
+// refreshFlatShard is refreshDense's flat-backend shard body: evaluate the
+// guards of [lo, hi) into ruleOf and collect the enabled ones.
+func (e *Engine[S]) refreshFlatShard(sh, lo, hi int) {
+	e.fl.EnabledRuleFlat(e.st, e.w, 0, e.allVerts[lo:hi], e.ruleOf[lo:hi])
+	e.collectRun(sh, lo, e.ruleOf[lo:hi])
 }
 
-// appendEnabled collects the vertices of [lo, hi) with a set rule, in
-// increasing order.
-func appendEnabled(dst []int, ruleOf []Rule, lo, hi int) []int {
-	for v := lo; v < hi; v++ {
-		if ruleOf[v] != NoRule {
-			dst = append(dst, v)
+// enabledRun is one shard's slice of a rebuilt enabled list: n vertices
+// written at collect[lo:lo+n].
+type enabledRun struct{ lo, n int }
+
+// collectRun writes the vertices lo+i with a set rule ruleOf[i], in
+// increasing order, to the front of the shard's own range collect[lo:]
+// and records the run. The store is unconditional and only the cursor
+// advances on a set rule, so the loop has no data-dependent branch.
+func (e *Engine[S]) collectRun(sh, lo int, ruleOf []Rule) {
+	out := e.collect[lo : lo+len(ruleOf)]
+	k := 0
+	for i, r := range ruleOf {
+		out[k] = lo + i
+		if r != NoRule {
+			k++
 		}
 	}
-	return dst
+	e.runs[sh] = enabledRun{lo: lo, n: k}
 }
 
-// concatArenas joins the first shards arenas in shard order into dst's
-// backing array (reallocating only on growth) and returns the result —
-// the deterministic concatenation that makes the parallel rebuild
-// order-independent. Large concatenations copy shard-parallel: the
-// destination ranges are disjoint by construction.
-func (e *Engine[S]) concatArenas(dst []int, shards int) []int {
-	e.offsets = growSlice(e.offsets, shards)
-	total := 0
-	for sh := 0; sh < shards; sh++ {
-		e.offsets[sh] = total
-		total += len(e.arenas[sh])
+// compactRuns slides the first shards runs together in shard order and
+// returns the rebuilt list. It runs inline, after the epoch. A run whose
+// predecessors were all fully enabled is already in place and is not
+// moved, so the synchronous steady state rebuilds its list without
+// copying a word.
+func (e *Engine[S]) compactRuns(shards int) []int {
+	at := 0
+	for _, r := range e.runs[:shards] {
+		if at != r.lo {
+			copy(e.collect[at:], e.collect[r.lo:r.lo+r.n])
+		}
+		at += r.n
 	}
-	out := growSlice(dst[:0], total)
-	if shards > 1 && e.pool != nil && total > e.shardSize {
-		e.pool.run(shards, func(sh int) {
-			copy(out[e.offsets[sh]:], e.arenas[sh])
-		})
-		return out
-	}
-	for sh := 0; sh < shards; sh++ {
-		copy(out[e.offsets[sh]:], e.arenas[sh])
-	}
-	return out
+	return e.collect[:at]
 }
 
 // evalGuard is a single-vertex EnabledRule with accounting, dispatched to
@@ -358,12 +371,12 @@ func (e *Engine[S]) rescan() []int {
 	e.guardEvals += int64(n)
 	if e.fl != nil {
 		e.allRules = growSlice(e.allRules, n)
-		arenas := e.shardArenas()
+		e.collect = growSlice(e.enabled, n)
 		shards := e.forShards(n, func(sh, lo, hi int) {
 			e.fl.EnabledRuleFlat(e.st, e.w, 0, e.allVerts[lo:hi], e.allRules[lo:hi])
-			arenas[sh] = appendEnabled(arenas[sh][:0], e.allRules, lo, hi)
+			e.collectRun(sh, lo, e.allRules[lo:hi])
 		})
-		e.enabled = e.concatArenas(e.enabled, shards)
+		e.enabled = e.compactRuns(shards)
 		return e.enabled
 	}
 	e.enabled = Enabled(e.p, e.cfg, e.enabled)
@@ -766,7 +779,9 @@ func (e *Engine[S]) fusedEligible(sel, enabled []int) bool {
 // buffer into the back buffer, fills the unfired gaps by word copy, and
 // refreshes the decoded shadow — evaluate, select bookkeeping, staging and
 // commit collapsed into one pass, with a buffer swap where the general
-// path scatters staged words back. The observable execution — selection,
+// path scatters staged words back. The refreshDense rebuild is the step's
+// second and last pool epoch; a full-firing step allocates nothing
+// (TestFusedStepZeroAlloc). The observable execution — selection,
 // rules, counters, guard-evaluation accounting (+N from the refreshDense
 // rebuild, as on the general dense path), hook order — is bitwise
 // identical to the general path; the differential matrix pins this.
@@ -774,17 +789,16 @@ func (e *Engine[S]) stepFused(activated []int) (bool, error) {
 	n := e.p.N()
 	k := len(activated)
 	w := e.w
-	e.rules = growSlice(e.rules, k)
+	e.rules = growSlice(e.rules, n)
 	e.stNext = growSlice(e.stNext, n*w)
 	if k == n {
-		// Full firing: selection position i is vertex i, so ApplyFlat's
-		// position-indexed output lands verbatim in the back buffer.
-		e.forShards(n, func(_, lo, hi int) {
-			rules := e.rules[lo:hi]
-			copy(rules, e.ruleOf[lo:hi])
-			e.fl.ApplyFlat(e.st, w, 0, e.allVerts[lo:hi], rules, e.stNext[lo*w:hi*w], w, 0)
-			e.fl.DecodeStates(e.stNext, w, 0, e.allVerts[lo:hi], e.cfg)
-		})
+		// Full firing: selection position i is vertex i, so ruleOf is the
+		// step's rule list verbatim and ApplyFlat's position-indexed output
+		// lands verbatim in the back buffer. The fired rules are handed to
+		// the hooks by swapping ruleOf with the rules buffer — the rebuild
+		// below overwrites every ruleOf slot, so no copy is needed.
+		e.forShards(n, e.applyAllFn)
+		e.rules, e.ruleOf = e.ruleOf, e.rules
 	} else {
 		// Partial firing: shards still cover the vertex range (so the gap
 		// copies partition the buffer); each shard locates its slice of the
@@ -821,6 +835,16 @@ func (e *Engine[S]) stepFused(activated []int) (bool, error) {
 	e.settleRound(activated)
 	e.fireHooks(StepInfo{Step: e.steps, Activated: activated, Rules: e.rules[:k]})
 	return true, nil
+}
+
+// applyAllShard is the full-firing shard body of stepFused: apply every
+// vertex of [lo, hi) with its maintained rule against the frozen front
+// buffer into the back buffer, then refresh the decoded shadow.
+func (e *Engine[S]) applyAllShard(_, lo, hi int) {
+	w := e.w
+	vs := e.allVerts[lo:hi]
+	e.fl.ApplyFlat(e.st, w, 0, vs, e.ruleOf[lo:hi], e.stNext[lo*w:hi*w], w, 0)
+	e.fl.DecodeStates(e.stNext, w, 0, vs, e.cfg)
 }
 
 // evalMoves is the evaluate phase: rules and next states of every selected
@@ -957,15 +981,24 @@ func (e *Engine[S]) forShards(k int, f func(shard, lo, hi int)) int {
 		f(0, 0, k)
 		return 1
 	}
-	e.pool.run(shards, func(sh int) {
-		lo := sh * size
-		hi := lo + size
-		if hi > k {
-			hi = k
-		}
-		f(sh, lo, hi)
-	})
+	e.job = shardJob{f: f, k: k, size: size}
+	e.pool.run(shards, e.runJob)
+	e.job = shardJob{}
 	return shards
+}
+
+// shardJob is one forShards epoch: the body and the range geometry that
+// runShardJob turns a shard index into.
+type shardJob struct {
+	f       func(shard, lo, hi int)
+	k, size int
+}
+
+// runShardJob runs shard sh of the current epoch (the pool's job).
+func (e *Engine[S]) runShardJob(sh int) {
+	lo := sh * e.job.size
+	hi := min(lo+e.job.size, e.job.k)
+	e.job.f(sh, lo, hi)
 }
 
 // growSlice returns buf resized to length k, reallocating only when the

@@ -12,8 +12,15 @@ package sim_test
 //   - guard and apply agreement between the batch kernels and the generic
 //     EnabledRule/Apply on the decoded configuration.
 //
-// `go test` runs the seed corpus; `go test -fuzz=FuzzFlatEncodeDecode
-// ./internal/sim` explores further.
+// The three fuzzed words (a, b, c) lay out the ring as r_v = a + v·b +
+// (v mod 2)·c, so short seeds reach the kernels' fast paths too: b = c = 0
+// is an all-equal configuration (every unison vertex NA-enabled through
+// the equality early-out), b = 1 or c = ±1 puts neighbours at ±1, and
+// a = K−1, c = −(K−1) alternates the K−1 ↔ 0 wrap.
+//
+// `go test` runs the seed corpus; `go test -run '^$' -fuzz
+// FuzzFlatEncodeDecode ./internal/sim` explores further (CI runs it for a
+// bounded time).
 
 import (
 	"testing"
@@ -30,6 +37,10 @@ import (
 // are tiny by comparison; the slack exercises the out-of-domain guard
 // branches such as unison's RA reset).
 const fuzzWordBound = int64(1) << 40
+
+// fuzzK is the unison clock size on the fuzzed 8-ring (MinimalParams:
+// K = n + 1), which the wrap seeds straddle.
+const fuzzK = 9
 
 // fuzzTargets builds the one-word protocols under fuzz, once.
 func fuzzTargets(tb testing.TB) map[string]sim.Protocol[int] {
@@ -52,7 +63,19 @@ func FuzzFlatEncodeDecode(f *testing.F) {
 	f.Add(int64(1), int64(-1), int64(7))
 	f.Add(int64(42), int64(1<<20), int64(-9))
 	f.Add(int64(-5), int64(163), int64(164))
+	// All-correct unison neighbourhoods: all equal, ±1 neighbours, and the
+	// K−1 ↔ 0 wrap.
+	f.Add(int64(4), int64(0), int64(0))
+	f.Add(int64(fuzzK-1), int64(0), int64(0))
+	f.Add(int64(2), int64(0), int64(1))
+	f.Add(int64(3), int64(0), int64(-1))
+	f.Add(int64(0), int64(1), int64(0))
+	f.Add(int64(fuzzK-1), int64(0), int64(1-fuzzK))
+	f.Add(int64(0), int64(0), int64(fuzzK-1))
 	targets := fuzzTargets(f)
+	if k := targets["unison"].(*unison.Protocol).Clock().K; k != fuzzK {
+		f.Fatalf("unison clock on the fuzzed ring has K=%d, the wrap seeds assume %d", k, fuzzK)
+	}
 
 	f.Fuzz(func(t *testing.T, a, b, c int64) {
 		words := []int64{a % fuzzWordBound, b % fuzzWordBound, c % fuzzWordBound}
@@ -64,9 +87,7 @@ func FuzzFlatEncodeDecode(f *testing.F) {
 			n := p.N()
 			st := make([]int64, n)
 			for v := 0; v < n; v++ {
-				// Spread the three fuzzed words over the vertices with a
-				// vertex-dependent twist so neighbors differ.
-				st[v] = words[v%3] + int64(v)*words[(v+1)%3]%fuzzWordBound
+				st[v] = words[0] + int64(v)*words[1] + int64(v%2)*words[2]
 			}
 			// Law 1: Encode ∘ Decode is the identity on packed words.
 			cfg := make(sim.Config[int], n)

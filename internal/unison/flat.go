@@ -79,96 +79,107 @@ func (p *Protocol) EnabledRuleFlat(st []int64, stride, base int, vs []int, rules
 }
 
 // enabledRuleFlatUnit is EnabledRuleFlat for the unit-stride layout the
-// engine uses directly (stride 1, base 0) — same guards, with the modular
-// arithmetic done by range reduction instead of integer division: cherry
-// values lie in [−α, K), so differences lie in (−(K+α), K+α) and a couple
-// of conditional ±K corrections compute the exact Mod/d_K results (idiv is
-// ~30 cycles and would dominate the batch kernel).
+// engine uses directly (stride 1, base 0) — same guards, no integer
+// division: cherry membership is one unsigned compare, and for r_v, r_u
+// both in [0, K) the difference r_u − r_v lies in (−K, K), so Mod needs
+// one conditional +K at most (idiv is ~30 cycles and would dominate).
+//
+// r_v ∈ stabX is the hot case — every vertex of a Γ₁ configuration — and
+// its row sweep is one loop. Only NA is reachable there (CA needs
+// r_v < 0), and RA needs ¬allCorrect ∧ r_v ∉ initX, i.e. r_v ≥ 1. A
+// neighbour equal to r_v is skipped outright: it lies in stabX (because
+// r_v does), d_K(r_v, r_v) = 0 and r_v ≤_l r_v, so it can change neither
+// predicate. Any other neighbour sits at ℓ = Mod(r_u − r_v) ∈ [1, K):
+// ℓ = 1 keeps both predicates, ℓ = K−1 (d_K = 1, wrap included) keeps
+// allCorrect but breaks minimality, anything else — or r_u ∉ stabX —
+// breaks allCorrect and settles the outcome.
 func (p *Protocol) enabledRuleFlatUnit(st []int64, vs []int, rules []sim.Rule) {
 	csr := p.g.CSR()
 	off, tgt := csr.Offsets, csr.Targets
 	alpha, k := int64(p.x.Alpha), int64(p.x.K)
+	rules = rules[:len(vs)]
 	for i, v := range vs {
 		rv := st[v]
-		row := tgt[off[v]:off[v+1]]
-		switch {
-		case rv >= 0 && rv < k:
-			// r_v ∈ stabX: only NA is reachable (conv needs r_v < 0); RA
-			// needs ¬allCorrect ∧ r_v ∉ initX, i.e. r_v ≥ 1. One pass
-			// tracks allCorrect and the ≤_l minimality; allCorrect
-			// failing settles the outcome immediately.
-			leq := true
-			rule := sim.NoRule
-			if rv >= 1 {
-				rule = RuleRA // outcome if allCorrect fails
+		if uint64(rv) >= uint64(k) { // r_v ∉ stabX
+			rules[i] = initRule(st, tgt[off[v]:off[v+1]], rv, alpha)
+			continue
+		}
+		rule := RuleNA
+		for j, end := off[v], off[v+1]; j < end; j++ {
+			ru := st[tgt[j]]
+			if ru == rv {
+				continue
 			}
-			for _, u := range row {
-				ru := st[u]
-				if ru < 0 || ru >= k {
-					goto done // ¬allCorrect
-				}
-				// Both in [0, K): d_K ≤ 1 ⇔ |r_v−r_u| ∈ {0, 1, K−1},
-				// and Mod(r_u−r_v) needs one conditional +K at most.
-				d := rv - ru
-				if d < 0 {
-					d = -d
-				}
-				if d > 1 && d != k-1 {
-					goto done // ¬allCorrect
-				}
+			if uint64(ru) < uint64(k) {
 				l := ru - rv
 				if l < 0 {
 					l += k
 				}
-				if l > 1 {
-					leq = false
+				if l == 1 {
+					continue
+				}
+				if l == k-1 {
+					rule = sim.NoRule // correct, but r_v is not locally minimal
+					continue
 				}
 			}
-			if leq {
-				rule = RuleNA // allCorrect ∧ minimal
-			} else {
-				rule = sim.NoRule // allCorrect but not minimal: no rule fires
+			// r_u ∉ stabX or d_K(r_v, r_u) > 1: ¬allCorrect, so RA unless
+			// r_v = 0 ∈ initX.
+			rule = RuleRA
+			if rv == 0 {
+				rule = sim.NoRule
 			}
-		done:
-			rules[i] = rule
-		case rv < 0 && rv >= -alpha: // r_v ∈ init*X (−α ≤ r_v < 0)
-			// Only CA is reachable: ¬allCorrect holds (r_v ∉ stabX) but
-			// r_v ∈ initX blocks RA.
-			rules[i] = RuleCA
-			for _, u := range row {
-				ru := st[u]
-				if ru < -alpha || ru > 0 || rv > ru {
-					rules[i] = sim.NoRule
-					break
-				}
-			}
-		default:
-			// r_v outside the cherry entirely: ¬allCorrect ∧ r_v ∉ initX.
-			rules[i] = RuleRA
+			break
 		}
+		rules[i] = rule
 	}
 }
 
+// initRule is the unit kernel's rule for r_v ∉ stabX. Inside init*X
+// (−α ≤ r_v < 0) only CA is reachable — ¬allCorrect holds, but r_v ∈ initX
+// blocks RA — and it needs every neighbour in [r_v, 0]; outside the
+// cherry, ¬allCorrect ∧ r_v ∉ initX makes it RA.
+func initRule(st []int64, row []int32, rv, alpha int64) sim.Rule {
+	if uint64(rv+alpha) >= uint64(alpha) {
+		return RuleRA
+	}
+	for _, u := range row {
+		if uint64(st[u]-rv) > uint64(-rv) { // r_u ∉ [r_v, 0]
+			return sim.NoRule
+		}
+	}
+	return RuleCA
+}
+
 // ApplyFlat implements sim.Flat: φ for NA/CA, the reset value −α for RA.
+// NA fires only with r_v ∈ [0, K) and CA only with r_v < 0, so the
+// increment wraps at exactly K.
 func (p *Protocol) ApplyFlat(st []int64, stride, base int, vs []int, rules []sim.Rule, out []int64, outStride, outBase int) {
 	alpha, k := int64(p.x.Alpha), int64(p.x.K)
-	for i, v := range vs {
-		rv := st[v*stride+base]
-		var next int64
-		switch rules[i] {
-		case RuleNA, RuleCA:
-			// φ: NA fires only with r_v ∈ [0, K) and CA only with r_v < 0,
-			// so the increment wraps at exactly K.
-			next = rv + 1
-			if next >= k {
-				next = 0
-			}
-		case RuleRA:
-			next = -alpha
-		default:
-			panic("unison: flat apply of unknown rule")
+	if stride == 1 && base == 0 && outStride == 1 && outBase == 0 {
+		rules, out = rules[:len(vs)], out[:len(vs)]
+		for i, v := range vs {
+			out[i] = applyRule(st[v], rules[i], alpha, k)
 		}
-		out[i*outStride+outBase] = next
+		return
+	}
+	for i, v := range vs {
+		out[i*outStride+outBase] = applyRule(st[v*stride+base], rules[i], alpha, k)
+	}
+}
+
+// applyRule is one vertex's move: φ(r_v) for NA and CA, −α for RA.
+func applyRule(rv int64, r sim.Rule, alpha, k int64) int64 {
+	switch r {
+	case RuleNA, RuleCA:
+		if rv++; rv >= k {
+			rv = 0
+		}
+		return rv
+	case RuleRA:
+		return -alpha
+	default:
+		panic("unison: flat apply of unknown rule")
 	}
 }
 
