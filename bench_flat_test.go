@@ -1,9 +1,7 @@
-// Micro-benchmarks of the flat execution backend (DESIGN.md §6): guard
-// evaluations per second for the batch kernels vs the generic interface
-// path, and ns/step for whole synchronous engine steps, generic vs flat,
-// on rings of 4096 and 65536 vertices. BENCH_flat.json records a baseline
-// run; EXPERIMENTS.md quotes the acceptance figures (E12b/E12c report the
-// same quantities from the experiment harness).
+// Micro-benchmarks of the packed (flat) engine representation (DESIGN.md
+// §6): guard evaluations per second for the batch kernels, and ns/step
+// for whole synchronous engine steps, on rings of 4096 and 65536
+// vertices. BENCH_flat.json records a baseline run.
 //
 // Run with:
 //
@@ -38,8 +36,8 @@ func ringUnison(tb testing.TB, n int) (*unison.Protocol, sim.Config[int]) {
 }
 
 // BenchmarkFlatGuardEvalsUnisonRing measures raw guard-evaluation
-// throughput: the generic interface path vs the flat batch kernel over
-// the same packed/boxed configuration (65536-vertex ring, steady state).
+// throughput of the flat batch kernel over a packed configuration
+// (65536-vertex ring, steady state).
 func BenchmarkFlatGuardEvalsUnisonRing(b *testing.B) {
 	const n = 65536
 	p, cfg := ringUnison(b, n)
@@ -51,20 +49,6 @@ func BenchmarkFlatGuardEvalsUnisonRing(b *testing.B) {
 		p.EncodeState(v, cfg[v], st[v:v+1])
 	}
 
-	b.Run("generic", func(b *testing.B) {
-		evals := 0
-		for i := 0; i < b.N; i++ {
-			for v := 0; v < n; v++ {
-				if _, ok := p.EnabledRule(cfg, v); ok {
-					evals++
-				}
-			}
-		}
-		b.ReportMetric(float64(n), "guard-evals/op")
-		if evals == 0 {
-			b.Fatal("steady state must be enabled everywhere")
-		}
-	})
 	b.Run("flat", func(b *testing.B) {
 		evals := 0
 		for i := 0; i < b.N; i++ {
@@ -84,9 +68,9 @@ func BenchmarkFlatGuardEvalsUnisonRing(b *testing.B) {
 
 // benchStep drives one engine step per iteration and reports
 // guard-evals/step.
-func benchStep[S comparable](b *testing.B, p sim.Protocol[S], initial sim.Config[S], backend sim.Backend) {
+func benchStep[S comparable](b *testing.B, p sim.Protocol[S], initial sim.Config[S]) {
 	b.Helper()
-	e, err := sim.NewEngineWith(p, daemon.NewSynchronous[S](), initial, 1, sim.Options{Backend: backend, Workers: 1})
+	e, err := sim.NewEngineWith(p, daemon.NewSynchronous[S](), initial, 1, sim.Options{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -104,39 +88,30 @@ func benchStep[S comparable](b *testing.B, p sim.Protocol[S], initial sim.Config
 	b.ReportMetric(float64(e.GuardEvals()-start)/float64(b.N), "guard-evals/step")
 }
 
-// BenchmarkStepBackendUnisonRing is the sd step comparison on the paper's
-// substrate protocol: full-width steady state, every vertex fires NA each
-// step.
+// BenchmarkStepBackendUnisonRing is the sd step on the paper's substrate
+// protocol: full-width steady state, every vertex fires NA each step.
 func BenchmarkStepBackendUnisonRing(b *testing.B) {
 	for _, n := range []int{4096, 65536} {
 		p, initial := ringUnison(b, n)
-		b.Run(fmt.Sprintf("ring-%d/generic", n), func(b *testing.B) {
-			benchStep[int](b, p, initial, sim.BackendGeneric)
-		})
 		b.Run(fmt.Sprintf("ring-%d/flat", n), func(b *testing.B) {
-			benchStep[int](b, p, initial, sim.BackendFlat)
+			benchStep[int](b, p, initial)
 		})
 	}
 }
 
-// BenchmarkStepBackendDijkstraRing65536 is the same comparison on
-// Dijkstra's token ring from a random configuration (the ~n-step drain
-// keeps roughly half the ring enabled for far longer than any realistic
-// b.N).
+// BenchmarkStepBackendDijkstraRing65536 is the sd step on Dijkstra's
+// token ring from a random configuration (the ~n-step drain keeps roughly
+// half the ring enabled for far longer than any realistic b.N).
 func BenchmarkStepBackendDijkstraRing65536(b *testing.B) {
 	const n = 65536
 	p := dijkstra.MustNew(n, n)
 	initial := sim.RandomConfig[int](p, rand.New(rand.NewSource(7)))
-	b.Run("generic", func(b *testing.B) { benchStep[int](b, p, initial, sim.BackendGeneric) })
-	b.Run("flat", func(b *testing.B) { benchStep[int](b, p, initial, sim.BackendFlat) })
+	b.Run("flat", func(b *testing.B) { benchStep[int](b, p, initial) })
 }
 
 // BenchmarkStepBackendCompositionRing4096 measures the zero-copy
-// composition: the generic product materializes both component
-// projections per guard (O(N) each, O(N²) per sd step), the flat product
-// reads the shared packed array at component offsets. The 4096 size keeps
-// the generic column affordable; E12c and BENCH_flat.json record the
-// 65536 figures (~3000×).
+// composition: the flat product reads the shared packed array at
+// component offsets, with no projection copies.
 func BenchmarkStepBackendCompositionRing4096(b *testing.B) {
 	const n = 4096
 	g := graph.Ring(n)
@@ -149,10 +124,7 @@ func BenchmarkStepBackendCompositionRing4096(b *testing.B) {
 	for v := range initial {
 		initial[v] = compose.Pair[int, int]{First: 0, Second: v % 5}
 	}
-	b.Run("generic", func(b *testing.B) {
-		benchStep[compose.Pair[int, int]](b, prod, initial, sim.BackendGeneric)
-	})
 	b.Run("flat", func(b *testing.B) {
-		benchStep[compose.Pair[int, int]](b, prod, initial, sim.BackendFlat)
+		benchStep[compose.Pair[int, int]](b, prod, initial)
 	})
 }

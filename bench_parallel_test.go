@@ -42,7 +42,7 @@ func machineString() string {
 func benchParallelStep(b *testing.B, n, workers int) {
 	p, initial := ringUnison(b, n)
 	e, err := sim.NewEngineWith(p, daemon.NewSynchronous[int](), initial, 1,
-		sim.Options{Backend: sim.BackendFlat, Workers: workers})
+		sim.Options{Workers: workers})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func BenchmarkSyncStepSSMERing8192(b *testing.B) {
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			e, err := sim.NewEngineWith[int](p, daemon.NewSynchronous[int](), initial, 1,
-				sim.Options{Backend: sim.BackendFlat, Workers: workers})
+				sim.Options{Workers: workers})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -132,7 +132,7 @@ func TestParallelBenchmarkInvariance(t *testing.T) {
 	const n, steps = 65536, 10
 	p, initialSeq := ringUnison(t, n)
 	ref, err := sim.NewEngineWith(p, daemon.NewSynchronous[int](), initialSeq, 1,
-		sim.Options{Backend: sim.BackendFlat, Workers: 1})
+		sim.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestParallelBenchmarkInvariance(t *testing.T) {
 	}
 	for _, w := range []int{0, 2, 4} {
 		e, err := sim.NewEngineWith(p, daemon.NewSynchronous[int](), initialSeq, 1,
-			sim.Options{Backend: sim.BackendFlat, Workers: w})
+			sim.Options{Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}

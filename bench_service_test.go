@@ -45,8 +45,7 @@ func benchServiceTicks(b *testing.B, s *service.Sim) {
 }
 
 // newRingService builds a closed-loop service over a 65536-vertex ring:
-// one million clients, think times staggered over 1024 ticks, flat
-// engine backend.
+// one million clients, think times staggered over 1024 ticks.
 func newRingService(b *testing.B, lock service.Lock, initial sim.Config[int]) *service.Sim {
 	b.Helper()
 	const clients = 1_000_000
@@ -55,7 +54,7 @@ func newRingService(b *testing.B, lock service.Lock, initial sim.Config[int]) *s
 		b.Fatal(err)
 	}
 	s, err := service.New(lock, daemon.NewSynchronous[int](), initial, 1, wl,
-		service.Options{Engine: sim.Options{Backend: sim.BackendFlat}})
+		service.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -103,7 +102,7 @@ func BenchmarkServiceTickSSMERing4096(b *testing.B) {
 		b.Fatal(err)
 	}
 	s, err := service.New(p, daemon.NewSynchronous[int](), make(sim.Config[int], n), 1, wl,
-		service.Options{Engine: sim.Options{Backend: sim.BackendFlat}})
+		service.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -57,12 +57,6 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// The checker enumerates configurations rather than running engines,
-	// so -backend/-workers have no effect here — but the shared flag set
-	// is still validated, with the same error text as every other driver.
-	if _, err := common.Resolve(); err != nil {
-		return err
-	}
 	if err := common.RejectTelemetry("checker"); err != nil {
 		return err
 	}

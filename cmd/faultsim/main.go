@@ -55,9 +55,6 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if _, err := common.Resolve(); err != nil {
-		return err
-	}
 	if err := common.RejectTelemetry("faultsim"); err != nil {
 		return err
 	}

@@ -72,9 +72,6 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if _, err := common.Resolve(); err != nil {
-		return err
-	}
 	if *replayPath != "" {
 		return runReplay(*replayPath, out)
 	}

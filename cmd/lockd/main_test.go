@@ -22,9 +22,6 @@ func TestFlagValidation(t *testing.T) {
 	if err := run([]string{"-replay", filepath.Join(t.TempDir(), "missing.jsonl")}, &out); err == nil {
 		t.Error("replaying a missing journal must fail")
 	}
-	if err := run([]string{"-backend", "nonsense"}, &out); err == nil || !strings.Contains(err.Error(), "unknown backend") {
-		t.Errorf("bad backend: %v", err)
-	}
 }
 
 // freePorts reserves count loopback addresses by binding and immediately

@@ -8,8 +8,8 @@
 //
 // Runs are declarative internal/scenario values: the flags fill one in,
 // or -scenario loads one from a JSON file (with any number of observers
-// attached — see -list for the registry). -backend, -workers and -seed
-// set on the command line override the file.
+// attached — see -list for the registry). -workers and -seed set on the
+// command line override the file.
 //
 // Examples:
 //
@@ -70,9 +70,6 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if _, err := common.Resolve(); err != nil {
-		return err
-	}
 	if *list {
 		fmt.Fprint(out, scenario.List())
 		return nil
@@ -123,8 +120,8 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	fmt.Fprintf(out, "lock service: %s under %s, %s, capacity %d, hold %d (%s backend)\n\n",
-		protoName(r), r.DaemonName(), r.Workload().Name(), r.Capacity(), r.Hold(), r.Engine().Backend())
+	fmt.Fprintf(out, "lock service: %s under %s, %s, capacity %d, hold %d\n\n",
+		protoName(r), r.DaemonName(), r.Workload().Name(), r.Capacity(), r.Hold())
 
 	if err := r.Execute(); err != nil {
 		return err
@@ -170,7 +167,7 @@ func hasObserver(sc *scenario.Scenario, name string) bool {
 
 // runCampaignFile runs a whole storm grid — a campaign JSON file or a
 // built-in name — through the campaign runner, with the same override
-// rules as -scenario: only -backend, -workers and -seed may accompany it.
+// rules as -scenario: only -workers and -seed may accompany it.
 func runCampaignFile(fs *flag.FlagSet, nameOrPath, checkpoint string, common *cli.Common, hub *telemetry.Hub, out io.Writer) error {
 	var c *campaign.Campaign
 	var err error
@@ -190,7 +187,7 @@ func runCampaignFile(fs *flag.FlagSet, nameOrPath, checkpoint string, common *cl
 	var ignored []string
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "backend", "workers":
+		case "workers":
 			spec := common.EngineSpec()
 			opts.Engine = &spec
 		case "seed":
@@ -201,7 +198,7 @@ func runCampaignFile(fs *flag.FlagSet, nameOrPath, checkpoint string, common *cl
 		}
 	})
 	if len(ignored) > 0 {
-		return fmt.Errorf("%s cannot be combined with -campaign: the file defines the grid (only -backend, -workers and -seed override it)",
+		return fmt.Errorf("%s cannot be combined with -campaign: the file defines the grid (only -workers and -seed override it)",
 			strings.Join(ignored, ", "))
 	}
 	res, err := c.Run(opts)
@@ -216,10 +213,10 @@ func runCampaignFile(fs *flag.FlagSet, nameOrPath, checkpoint string, common *cl
 }
 
 // runScenarioFile loads, overrides, builds, executes and reports a
-// scenario file. Command-line -backend/-workers/-seed (when explicitly
-// set) override the file's values, which is what lets CI drive one
-// checked-in file across every backend; any other explicitly-set
-// run-shaping flag is an error rather than a silent no-op.
+// scenario file. Command-line -workers/-seed (when explicitly set)
+// override the file's values, which is what lets CI drive one checked-in
+// file across worker counts; any other explicitly-set run-shaping flag is
+// an error rather than a silent no-op.
 func runScenarioFile(fs *flag.FlagSet, path string, common *cli.Common, hub *telemetry.Hub, out io.Writer) error {
 	sc, err := scenario.Load(path)
 	if err != nil {
@@ -228,8 +225,6 @@ func runScenarioFile(fs *flag.FlagSet, path string, common *cli.Common, hub *tel
 	var ignored []string
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "backend":
-			sc.Engine.Backend = common.Backend
 		case "workers":
 			sc.Engine.Workers = common.Workers
 		case "seed":
@@ -240,7 +235,7 @@ func runScenarioFile(fs *flag.FlagSet, path string, common *cli.Common, hub *tel
 		}
 	})
 	if len(ignored) > 0 {
-		return fmt.Errorf("%s cannot be combined with -scenario: the file defines the run (only -backend, -workers and -seed override it)",
+		return fmt.Errorf("%s cannot be combined with -scenario: the file defines the run (only -workers and -seed override it)",
 			strings.Join(ignored, ", "))
 	}
 	if hub != nil {

@@ -45,18 +45,16 @@ func TestRunStormLExclusion(t *testing.T) {
 }
 
 func TestRunBackendsAgree(t *testing.T) {
-	drive := func(backend string) string {
+	drive := func(workers string) string {
 		var out bytes.Buffer
 		if err := run([]string{"-protocol", "ssme", "-n", "9", "-daemon", "distributed",
-			"-ticks", "300", "-backend", backend}, &out); err != nil {
+			"-ticks", "300", "-workers", workers}, &out); err != nil {
 			t.Fatal(err)
 		}
-		// Strip the header line, which names the backend.
-		_, rest, _ := strings.Cut(out.String(), "\n")
-		return rest
+		return out.String()
 	}
-	if drive("generic") != drive("flat") {
-		t.Fatal("service reports diverge between generic and flat backends")
+	if drive("1") != drive("8") {
+		t.Fatal("service reports diverge between -workers 1 and 8")
 	}
 }
 
@@ -67,7 +65,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-protocol", "dijkstra", "-topology", "grid"},
 		{"-workload", "nonsense"},
 		{"-daemon", "nonsense"},
-		{"-backend", "nonsense"},
 		{"-bogus"},
 	} {
 		if err := run(args, &out); err == nil {
@@ -100,9 +97,9 @@ func TestRunScenarioFileOverrides(t *testing.T) {
 		}
 		return out.String()
 	}
-	// -backend/-workers override the file without changing the execution.
-	if drive("-backend", "generic", "-workers", "1") != drive("-backend", "flat", "-workers", "8") {
-		t.Fatal("scenario report diverges between backend/worker overrides")
+	// -workers overrides the file without changing the execution.
+	if drive("-workers", "1") != drive("-workers", "8") {
+		t.Fatal("scenario report diverges between worker overrides")
 	}
 	// -seed overrides the file's seed and must change the execution.
 	if drive() == drive("-seed", "99") {

@@ -1,22 +1,19 @@
 // Command specbench regenerates the paper's "evaluation": every experiment
 // of DESIGN.md §4 (E1–E13), printed as plain-text tables or CSV. Each row
-// of each table is a scenario-resolved run: the harness constructs all of
-// its engines through internal/scenario's backend chokepoint, so the
-// -backend/-workers knobs mean exactly what they mean everywhere else.
+// of each table is a deterministic run of the one packed engine, so the
+// -workers knob means exactly what it means everywhere else.
 //
 // Usage:
 //
-//	specbench [-experiment e3] [-quick] [-seed 42] [-csv] [-workers 8] [-backend flat]
+//	specbench [-experiment e3] [-quick] [-seed 42] [-csv] [-workers 8]
 //	specbench -campaign examples/campaigns/e13a-storm.json [-checkpoint grid.journal]
 //	specbench -campaign e13a-storm [-dump]
 //	specbench -list
 //
 // Without -experiment the full suite runs in order. Independent cells run
 // on a worker pool (-workers, default GOMAXPROCS); tables are bitwise
-// identical for every worker count. -backend selects the engine execution
-// backend (auto, generic, flat — DESIGN.md §6); executions, and hence all
-// non-timing columns, are identical for every choice. EXPERIMENTS.md
-// records a quick run next to the paper's claims.
+// identical for every worker count. EXPERIMENTS.md records a quick run
+// next to the paper's claims.
 //
 // -campaign runs a declarative sweep instead (DESIGN.md §9): a campaign
 // JSON file, or a built-in campaign by name. -checkpoint journals
@@ -63,9 +60,6 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if _, err := common.Resolve(); err != nil {
-		return err
-	}
 	if *list {
 		printCatalogue(out)
 		return nil
@@ -81,7 +75,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-checkpoint and -dump need -campaign")
 	}
 
-	cfg := experiments.RunConfig{Quick: *quick, Seed: common.Seed, Workers: common.Workers, Backend: common.Backend}
+	cfg := experiments.RunConfig{Quick: *quick, Seed: common.Seed, Workers: common.Workers}
 	list2 := experiments.Registry()
 	if *expID != "" {
 		exp, err := experiments.ByID(*expID)
@@ -114,7 +108,7 @@ func run(args []string, out io.Writer) error {
 }
 
 // runCampaign resolves (file path or built-in name), then dumps or runs
-// the campaign. Explicitly set -backend/-workers flags override every
+// the campaign. An explicitly set -workers flag overrides every
 // cell's engine spec (executions are identical; only cost changes) and an
 // explicit -seed overrides the base seed — mirroring `locksim -scenario`.
 func runCampaign(fs *flag.FlagSet, nameOrPath, checkpoint string, dump, csv bool, common *cli.Common, hub *telemetry.Hub, out io.Writer) error {
@@ -136,7 +130,7 @@ func runCampaign(fs *flag.FlagSet, nameOrPath, checkpoint string, dump, csv bool
 	var ignored []string
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "backend", "workers":
+		case "workers":
 			spec := common.EngineSpec()
 			opts.Engine = &spec
 		case "seed":
@@ -147,7 +141,7 @@ func runCampaign(fs *flag.FlagSet, nameOrPath, checkpoint string, dump, csv bool
 		}
 	})
 	if len(ignored) > 0 {
-		return fmt.Errorf("%s cannot be combined with -campaign: the file defines the grid (only -backend, -workers, -seed, -checkpoint, -dump and -csv apply)",
+		return fmt.Errorf("%s cannot be combined with -campaign: the file defines the grid (only -workers, -seed, -checkpoint, -dump and -csv apply)",
 			strings.Join(ignored, ", "))
 	}
 	if dump {

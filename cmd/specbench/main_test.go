@@ -33,19 +33,17 @@ func TestRunCSV(t *testing.T) {
 }
 
 func TestRunBackendsAgreeOnQuickExperiment(t *testing.T) {
-	drive := func(backend string, workers string) string {
+	drive := func(workers string) string {
 		var out bytes.Buffer
-		if err := run([]string{"-experiment", "e2", "-quick", "-backend", backend, "-workers", workers}, &out); err != nil {
+		if err := run([]string{"-experiment", "e2", "-quick", "-workers", workers}, &out); err != nil {
 			t.Fatal(err)
 		}
 		return out.String()
 	}
-	base := drive("generic", "1")
-	for _, alt := range []struct{ backend, workers string }{
-		{"flat", "1"}, {"generic", "8"}, {"flat", "8"}, {"auto", "2"},
-	} {
-		if got := drive(alt.backend, alt.workers); got != base {
-			t.Fatalf("e2 output diverges for -backend %s -workers %s", alt.backend, alt.workers)
+	base := drive("1")
+	for _, workers := range []string{"2", "8"} {
+		if got := drive(workers); got != base {
+			t.Fatalf("e2 output diverges for -workers %s", workers)
 		}
 	}
 }
@@ -54,7 +52,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	var out bytes.Buffer
 	for _, args := range [][]string{
 		{"-experiment", "e99"},
-		{"-backend", "nonsense"},
 		{"-bogus"},
 	} {
 		if err := run(args, &out); err == nil {

@@ -46,9 +46,6 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if _, err := common.Resolve(); err != nil {
-		return err
-	}
 
 	switch *initMode {
 	case "random", "worst", "uniform":

@@ -41,12 +41,6 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// topoinfo computes graph constants rather than running engines, so
-	// -backend/-workers have no effect here — but the shared flag set is
-	// still validated, with the same error text as every other driver.
-	if _, err := common.Resolve(); err != nil {
-		return err
-	}
 	if err := common.RejectTelemetry("topoinfo"); err != nil {
 		return err
 	}

@@ -22,14 +22,14 @@
 //     guard evaluations per step instead of O(N), with executions bitwise
 //     identical to a full rescan (differential-tested for every protocol
 //     under every daemon).
-//   - The flat execution backend: protocols additionally provide sim.Flat
-//     codecs packing per-vertex state into []int64 words with batch
-//     guard/apply kernels over CSR adjacency; the engine's backend
-//     selector (Auto/Generic/Flat) and double-buffered, shard-parallel
-//     synchronous step then execute on packed state — identical
-//     executions for every backend, worker count and shard size, at a
-//     fraction of the ns/step (BENCH_flat.json), and compositions become
-//     zero-copy via the stride/base calling convention.
+//   - The flat execution representation: every protocol provides a
+//     sim.Flat codec packing per-vertex state into []int64 words with
+//     batch guard/apply kernels over CSR adjacency, and the engine's
+//     double-buffered, shard-parallel step executes on packed state only —
+//     identical executions for every worker count and shard size, checked
+//     step by step against a test-side reference stepper that interprets
+//     the guarded rules directly (BENCH_flat.json records the ns/step);
+//     compositions are zero-copy via the stride/base calling convention.
 //   - The grid scheduler: internal/campaign fans cell×trial tasks over a
 //     worker pool (one Engine+Daemon per task); per-cell randomness is
 //     fixed at grid expansion and folds run in grid order, so tables are
@@ -45,7 +45,7 @@
 //
 // The whole evaluation grid is declarative (DESIGN.md §8–§9): an
 // internal/scenario.Scenario value names one run — protocol, topology,
-// daemon, backend, initial configuration, workload, fault storm, stop
+// daemon, engine workers, initial configuration, workload, fault storm, stop
 // condition, observers — against named registries of constructors, and
 // round-trips through JSON so a variant study is a shareable file
 // (locksim -scenario file.json; the catalogue is scenario.List / locksim
@@ -71,7 +71,7 @@
 // pure read stamped in logical time (wall time only at the JSONL sink,
 // goroutines only in the HTTP exporter, both allowlisted in the lint
 // policy), so executions fingerprint bitwise identically with telemetry
-// on or off — differential-tested across backends and worker counts
+// on or off — differential-tested across worker counts
 // (examples/telemetry is a self-scraping soak; BENCH_telemetry.json
 // records the overhead).
 //

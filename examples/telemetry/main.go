@@ -8,7 +8,7 @@
 //
 // The run is bitwise identical with or without the hub attached:
 // collection is a pure read in logical tick time (the differential test
-// of internal/telemetry pins this across backends and worker counts).
+// of internal/telemetry pins this across worker counts).
 package main
 
 import (

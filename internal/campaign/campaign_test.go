@@ -55,12 +55,12 @@ func TestCellsRowMajorOrder(t *testing.T) {
 }
 
 // TestCellFingerprintIgnoresEngine: the checkpoint key must survive a
-// backend/workers change (executions are identical across them).
+// workers change (executions are identical across them).
 func TestCellFingerprintIgnoresEngine(t *testing.T) {
 	t.Parallel()
 	a := small()
 	b := small()
-	b.Base.Engine = scenario.EngineSpec{Backend: "flat", Workers: 8}
+	b.Base.Engine = scenario.EngineSpec{Workers: 8}
 	ca, err := a.Cells()
 	if err != nil {
 		t.Fatal(err)

@@ -105,8 +105,8 @@ func cellName(labels []string) string {
 
 // fingerprintCell hashes everything that determines a cell's samples. The
 // engine spec is excluded on purpose: executions are bitwise identical
-// across backends and worker counts (DESIGN.md §6), so a grid checkpointed
-// under one backend resumes under any other.
+// across worker counts (DESIGN.md §6), so a grid checkpointed under one
+// engine spec resumes under any other.
 func (c *Campaign) fingerprintCell(sc *scenario.Scenario) uint64 {
 	flat := *sc
 	flat.Engine = scenario.EngineSpec{}

@@ -20,7 +20,7 @@ type RunOptions struct {
 	// every worker count.
 	Pool Pool
 	// Engine, when non-nil, replaces every cell's engine spec — the
-	// backend/workers override of the drivers' command lines. Executions
+	// -workers override of the drivers' command lines. Executions
 	// are identical either way; only the cost changes.
 	Engine *scenario.EngineSpec
 	// Checkpoint is the journal path ("" = no checkpointing): one JSON
@@ -75,8 +75,8 @@ type journalLine struct {
 // Run expands the grid, executes every pending cell × trial on the pool
 // and folds the aggregated rows in grid order. Trial t of a cell executes
 // the cell's scenario with seed + t·seedStride; all randomness derives
-// from that seed, so the whole table is deterministic for every backend
-// and worker count (the invariance tests pin this).
+// from that seed, so the whole table is deterministic for every worker
+// count (the invariance tests pin this).
 func (c *Campaign) Run(opts RunOptions) (*Result, error) {
 	cells, err := c.Cells()
 	if err != nil {

@@ -42,8 +42,7 @@ func storm() *Campaign {
 
 // TestRunDeterminism is the grid-level invariance guarantee the ISSUE
 // demands: the same grid produces bitwise-identical rows and fingerprints
-// across backend generic/flat × pool workers 1/8 (engine workers ride
-// along with the backend override).
+// across engine workers 1/8 × pool workers 1/8.
 func TestRunDeterminism(t *testing.T) {
 	t.Parallel()
 	for _, c := range []*Campaign{small(), storm()} {
@@ -51,18 +50,12 @@ func TestRunDeterminism(t *testing.T) {
 		t.Run(c.Name, func(t *testing.T) {
 			t.Parallel()
 			var ref string
-			for _, variant := range []struct {
-				backend string
-				workers int
-			}{
-				{"generic", 1},
-				{"flat", 8},
-			} {
-				engine := scenario.EngineSpec{Backend: variant.backend, Workers: variant.workers, LenientFlat: true}
+			for _, workers := range []int{1, 8} {
+				engine := scenario.EngineSpec{Workers: workers}
 				for _, pool := range []int{1, 8} {
 					res, err := c.Run(RunOptions{Pool: Pool{Workers: pool}, Engine: &engine})
 					if err != nil {
-						t.Fatalf("%s/workers=%d: %v", variant.backend, pool, err)
+						t.Fatalf("engine workers=%d pool=%d: %v", workers, pool, err)
 					}
 					got := renderRows(res)
 					if ref == "" {
@@ -70,8 +63,8 @@ func TestRunDeterminism(t *testing.T) {
 						continue
 					}
 					if got != ref {
-						t.Fatalf("rows differ for backend=%s pool=%d:\n%s\nvs reference:\n%s",
-							variant.backend, pool, got, ref)
+						t.Fatalf("rows differ for engine workers=%d pool=%d:\n%s\nvs reference:\n%s",
+							workers, pool, got, ref)
 					}
 				}
 			}

@@ -1,9 +1,9 @@
 // Package cli holds the flag-level helpers shared by the command-line
-// tools under cmd/: the common -backend/-workers/-seed flag set every
-// driver accepts with identical parsing and error text, and thin parsers
+// tools under cmd/: the common -workers/-seed/-telemetry flag set every
+// driver accepts with identical parsing and help text, and thin parsers
 // delegating to the named registries of internal/scenario (topologies,
-// daemons, backends), so the CLI vocabulary and the scenario vocabulary
-// are one and the same.
+// daemons), so the CLI vocabulary and the scenario vocabulary are one and
+// the same.
 package cli
 
 import (
@@ -29,15 +29,6 @@ func ParseTopology(name string, n int, seed int64) (*graph.Graph, error) {
 	return scenario.BuildTopology(scenario.TopologySpec{Name: name, N: n}, seed)
 }
 
-// Backends lists the -backend values understood by ParseBackend.
-var Backends = strings.Join(scenario.BackendNames(), ", ")
-
-// ParseBackend resolves a -backend flag value to engine Options.
-// Executions are bitwise identical for every choice (DESIGN.md §6).
-func ParseBackend(name string) (sim.Options, error) {
-	return scenario.EngineSpec{Backend: name}.Options()
-}
-
 // Daemons lists the -daemon values understood by ParseDaemon.
 var Daemons = strings.Join(scenario.DaemonNames(), ", ")
 
@@ -47,14 +38,12 @@ func ParseDaemon[S comparable](name string, n int, p float64) (sim.Daemon[S], er
 	return scenario.NewDaemon[S](scenario.DaemonSpec{Name: name, P: p}, n)
 }
 
-// Common is the flag set every driver shares. AddCommon registers the
-// flags; Resolve validates them after parsing. Workers means "engine
-// shard workers" for drivers running one engine and "trial pool workers"
-// for the experiment harness — in both cases results are identical for
-// every value, which is why one flag serves both.
+// Common is the flag set every driver shares; AddCommon registers the
+// flags. Workers means "engine shard workers" for drivers running one
+// engine and "trial pool workers" for the experiment harness — in both
+// cases results are identical for every value, which is why one flag
+// serves both.
 type Common struct {
-	// Backend is the raw -backend value (validated by Resolve).
-	Backend string
 	// Workers is the -workers value (0 = GOMAXPROCS).
 	Workers int
 	// Seed is the -seed value driving all randomness.
@@ -65,12 +54,10 @@ type Common struct {
 	Telemetry string
 }
 
-// AddCommon registers the shared -backend, -workers, -seed and -telemetry
-// flags on fs with the uniform help and error text of the repository's
-// drivers.
+// AddCommon registers the shared -workers, -seed and -telemetry flags on
+// fs with the uniform help text of the repository's drivers.
 func AddCommon(fs *flag.FlagSet) *Common {
 	c := &Common{}
-	fs.StringVar(&c.Backend, "backend", "auto", "engine execution backend: "+Backends+"; executions are identical for every value")
 	fs.IntVar(&c.Workers, "workers", 0, "worker pool size (0 = GOMAXPROCS); results are identical for every value")
 	fs.Int64Var(&c.Seed, "seed", 1, "random seed")
 	fs.StringVar(&c.Telemetry, "telemetry", "", "serve live telemetry — Prometheus /metrics and /debug/pprof/ — on this address (e.g. 127.0.0.1:9090; port 0 picks one; empty disables); executions are identical either way")
@@ -110,19 +97,7 @@ func (c *Common) RejectTelemetry(driver string) error {
 		driver, strings.Join(TelemetryDrivers, ", "))
 }
 
-// Resolve validates the parsed common flags and returns the engine
-// options they select. Every driver calls it right after fs.Parse, so an
-// invalid -backend fails with the same error text everywhere.
-func (c *Common) Resolve() (sim.Options, error) {
-	opts, err := ParseBackend(c.Backend)
-	if err != nil {
-		return sim.Options{}, err
-	}
-	opts.Workers = c.Workers
-	return opts, nil
-}
-
 // EngineSpec returns the scenario-layer engine spec the flags select.
 func (c *Common) EngineSpec() scenario.EngineSpec {
-	return scenario.EngineSpec{Backend: c.Backend, Workers: c.Workers}
+	return scenario.EngineSpec{Workers: c.Workers}
 }

@@ -71,15 +71,11 @@ func TestAddCommonDefaultsAndResolve(t *testing.T) {
 	t.Parallel()
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	c := AddCommon(fs)
-	if err := fs.Parse([]string{"-backend", "flat", "-workers", "3", "-seed", "42"}); err != nil {
+	if err := fs.Parse([]string{"-workers", "3", "-seed", "42"}); err != nil {
 		t.Fatal(err)
 	}
-	opts, err := c.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts.Workers != 3 || c.Seed != 42 {
-		t.Fatalf("common flags parsed as %+v (workers %d)", c, opts.Workers)
+	if spec := c.EngineSpec(); spec.Workers != 3 || c.Seed != 42 {
+		t.Fatalf("common flags parsed as %+v (engine spec %+v)", c, spec)
 	}
 
 	fs2 := flag.NewFlagSet("y", flag.ContinueOnError)
@@ -87,12 +83,8 @@ func TestAddCommonDefaultsAndResolve(t *testing.T) {
 	if err := fs2.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if c2.Backend != "auto" || c2.Workers != 0 || c2.Seed != 1 {
-		t.Fatalf("common defaults %+v, want auto/0/1", c2)
-	}
-	c2.Backend = "nonsense"
-	if _, err := c2.Resolve(); err == nil || !strings.Contains(err.Error(), "unknown backend") {
-		t.Fatalf("want the uniform unknown-backend error, got %v", err)
+	if c2.Workers != 0 || c2.Seed != 1 || c2.Telemetry != "" {
+		t.Fatalf("common defaults %+v, want 0/1/empty", c2)
 	}
 }
 

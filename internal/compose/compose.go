@@ -26,7 +26,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"specstab/internal/sim"
 )
@@ -39,19 +38,18 @@ type Pair[A, B comparable] struct {
 
 // Product runs two protocols with disjoint state on the same vertex set.
 // A Product is safe for concurrent use: guard evaluation draws its
-// projection scratch from a pool and the rule-pair interning table is an
-// immutable snapshot behind an atomic pointer, so compositions run under
+// projection scratch from a pool and the rule-pair table is filled once at
+// construction and only read afterwards, so compositions run under
 // concurrent.RoundNetwork and the engine's shard-parallel step (the race
 // tests exercise exactly that).
 //
 // Product rules are interned pairs of component rules, so products nest:
 // a Product is itself a sim.Protocol and can be composed again (see the
-// three-way composition test). When both components declare their rule
-// bounds (sim.RuleBounded — every protocol of this repository does), the
-// whole pair table is pre-interned at construction in lexicographic
-// order, which makes rule numbering deterministic regardless of
-// evaluation order or concurrency; unbounded components fall back to
-// copy-on-write interning in encounter order.
+// three-way composition test). Both components must declare their rule
+// bounds (sim.RuleBounded — every protocol of this repository does): the
+// whole pair table is interned at construction in lexicographic order,
+// which makes rule numbering a pure function of the bounds, independent
+// of evaluation order or concurrency.
 type Product[A, B comparable] struct {
 	a sim.Protocol[A]
 	b sim.Protocol[B]
@@ -61,23 +59,11 @@ type Product[A, B comparable] struct {
 	proj sync.Pool
 
 	// Rule interning: product rule r (≥ 1) stands for component pair
-	// tab.pairs[r−1]; tab.index inverts it. The table is an immutable
-	// snapshot — writers clone it under mu and swap the pointer, readers
-	// are lock-free. eager marks a fully pre-interned table.
-	tab   atomic.Pointer[ruleTable]
-	mu    sync.Mutex
-	eager bool
-
-	// dense is the eager table as a flat array — dense[ra*(bb+1)+rb] —
-	// so the batch kernels translate rule pairs without a map lookup.
-	dense   []sim.Rule
-	denseBB sim.Rule
-}
-
-// ruleTable is one immutable interning snapshot.
-type ruleTable struct {
-	index map[[2]sim.Rule]sim.Rule
-	pairs [][2]sim.Rule
+	// pairs[r−1]; index[ra*(bb+1)+rb] inverts it for ra ≤ ba, rb ≤ bb,
+	// the component bounds, so the kernels translate pairs without a map.
+	pairs  [][2]sim.Rule
+	index  []sim.Rule
+	ba, bb sim.Rule
 }
 
 // projPair is one projection scratch: both component views of a product
@@ -87,82 +73,55 @@ type projPair[A, B comparable] struct {
 	b sim.Config[B]
 }
 
-// internRule returns the dense product rule for the component pair,
-// extending the table (copy-on-write) when the pair is new.
+// internRule returns the product rule for the component pair. A pair
+// outside the declared bounds means a component broke its sim.RuleBounded
+// contract, which no caller can recover from.
 func (p *Product[A, B]) internRule(ra, rb sim.Rule) sim.Rule {
-	key := [2]sim.Rule{ra, rb}
-	if r, ok := p.tab.Load().index[key]; ok {
-		return r
+	if ra > p.ba || rb > p.bb {
+		panic(fmt.Sprintf("compose: rule pair (%d, %d) exceeds the declared bounds (%d, %d) of %s", ra, rb, p.ba, p.bb, p.Name()))
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	old := p.tab.Load()
-	if r, ok := old.index[key]; ok { // raced with another writer
-		return r
-	}
-	next := &ruleTable{
-		index: make(map[[2]sim.Rule]sim.Rule, len(old.index)+1),
-		pairs: append(append([][2]sim.Rule(nil), old.pairs...), key),
-	}
-	//speclint:ordered -- map-to-map copy: per-key writes are independent of visit order
-	for k, v := range old.index {
-		next.index[k] = v
-	}
-	r := sim.Rule(len(next.pairs))
-	next.index[key] = r
-	p.tab.Store(next)
-	return r
+	return p.index[int(ra)*(int(p.bb)+1)+int(rb)]
 }
 
 // DecodeRule splits a product rule into its component rules (either may be
 // sim.NoRule when only one component fires).
 func (p *Product[A, B]) DecodeRule(r sim.Rule) (ra, rb sim.Rule) {
-	tab := p.tab.Load()
-	if r < 1 || int(r) > len(tab.pairs) {
+	if r < 1 || int(r) > len(p.pairs) {
 		return sim.NoRule, sim.NoRule
 	}
-	pair := tab.pairs[r-1]
+	pair := p.pairs[r-1]
 	return pair[0], pair[1]
 }
 
-// New builds the product; the components must agree on the vertex count.
+// New builds the product. The components must agree on the vertex count
+// and both declare their rule bounds (sim.RuleBounded).
 func New[A, B comparable](a sim.Protocol[A], b sim.Protocol[B]) (*Product[A, B], error) {
 	if a.N() != b.N() {
 		return nil, fmt.Errorf("compose: component sizes differ (%d vs %d)", a.N(), b.N())
 	}
-	p := &Product[A, B]{a: a, b: b}
+	ba, ok := sim.MaxRuleOf(a)
+	if !ok {
+		return nil, fmt.Errorf("compose: component %s does not declare its rule bound (sim.RuleBounded)", a.Name())
+	}
+	bb, ok := sim.MaxRuleOf(b)
+	if !ok {
+		return nil, fmt.Errorf("compose: component %s does not declare its rule bound (sim.RuleBounded)", b.Name())
+	}
+	p := &Product[A, B]{a: a, b: b, ba: ba, bb: bb}
 	p.proj.New = func() any { return &projPair[A, B]{} }
-	p.tab.Store(&ruleTable{index: make(map[[2]sim.Rule]sim.Rule)})
-	if ba, okA := sim.MaxRuleOf(a); okA {
-		if bb, okB := sim.MaxRuleOf(b); okB {
-			// Pre-intern every pair in lexicographic order: product rule
-			// numbering becomes a pure function of the component bounds.
-			p.dense = make([]sim.Rule, (int(ba)+1)*(int(bb)+1))
-			p.denseBB = bb
-			for ra := sim.Rule(0); ra <= ba; ra++ {
-				for rb := sim.Rule(0); rb <= bb; rb++ {
-					if ra == 0 && rb == 0 {
-						continue
-					}
-					p.dense[int(ra)*(int(bb)+1)+int(rb)] = p.internRule(ra, rb)
-				}
+	// Intern every pair in lexicographic order: product rule numbering is
+	// a pure function of the component bounds.
+	p.index = make([]sim.Rule, (int(ba)+1)*(int(bb)+1))
+	for ra := sim.Rule(0); ra <= ba; ra++ {
+		for rb := sim.Rule(0); rb <= bb; rb++ {
+			if ra == 0 && rb == 0 {
+				continue
 			}
-			p.eager = true
+			p.pairs = append(p.pairs, [2]sim.Rule{ra, rb})
+			p.index[int(ra)*(int(bb)+1)+int(rb)] = sim.Rule(len(p.pairs))
 		}
 	}
 	return p, nil
-}
-
-// internFast is internRule for pairs within the eager bounds: a flat
-// array lookup, no map access. Out-of-bounds pairs (a component exceeding
-// its declared MaxRule) fall back to the interning table.
-func (p *Product[A, B]) internFast(ra, rb sim.Rule) sim.Rule {
-	if p.dense != nil && rb <= p.denseBB {
-		if idx := int(ra)*(int(p.denseBB)+1) + int(rb); idx < len(p.dense) {
-			return p.dense[idx]
-		}
-	}
-	return p.internRule(ra, rb)
 }
 
 // MustNew is New that panics on error.
@@ -184,15 +143,9 @@ func (p *Product[A, B]) N() int { return p.a.N() }
 func (p *Product[A, B]) First() sim.Protocol[A]  { return p.a }
 func (p *Product[A, B]) Second() sim.Protocol[B] { return p.b }
 
-// MaxRule implements sim.RuleBounded: with rule-bounded components the
-// pre-interned pair table is the complete rule space; otherwise the bound
-// is unknown (0).
-func (p *Product[A, B]) MaxRule() sim.Rule {
-	if !p.eager {
-		return sim.NoRule
-	}
-	return sim.Rule(len(p.tab.Load().pairs))
-}
+// MaxRule implements sim.RuleBounded: the interned pair table is the
+// complete rule space.
+func (p *Product[A, B]) MaxRule() sim.Rule { return sim.Rule(len(p.pairs)) }
 
 // ProjectA extracts component A's configuration.
 func (p *Product[A, B]) ProjectA(c sim.Config[Pair[A, B]]) sim.Config[A] {

@@ -2,6 +2,7 @@ package compose
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"specstab/internal/bfstree"
@@ -24,20 +25,57 @@ func TestRuleInterningRoundTrip(t *testing.T) {
 	t.Parallel()
 	g := graph.Path(4)
 	prod := MustNew[int, int](bfstree.MustNew(g, 0), bfstree.MustNew(g, 3))
-	for _, c := range []struct{ ra, rb sim.Rule }{
-		{1, 2}, {0, 3}, {3, 0}, {65535, 65535}, {1, 2}, // repeat: stable id
-	} {
-		r := prod.internRule(c.ra, c.rb)
-		ra, rb := prod.DecodeRule(r)
-		if ra != c.ra || rb != c.rb {
-			t.Errorf("roundtrip (%d,%d) → rule %d → (%d,%d)", c.ra, c.rb, r, ra, rb)
+	ba, bb := bfstree.RuleMinPlusOne, bfstree.RuleMinPlusOne
+	want := sim.Rule(0)
+	for ra := sim.NoRule; ra <= ba; ra++ {
+		for rb := sim.NoRule; rb <= bb; rb++ {
+			if ra == sim.NoRule && rb == sim.NoRule {
+				continue
+			}
+			want++ // lexicographic numbering
+			r := prod.internRule(ra, rb)
+			if r != want {
+				t.Errorf("pair (%d,%d) interned as rule %d, want %d", ra, rb, r, want)
+			}
+			if gotA, gotB := prod.DecodeRule(r); gotA != ra || gotB != rb {
+				t.Errorf("roundtrip (%d,%d) → rule %d → (%d,%d)", ra, rb, r, gotA, gotB)
+			}
 		}
+	}
+	if prod.MaxRule() != want {
+		t.Errorf("MaxRule = %d, want %d", prod.MaxRule(), want)
 	}
 	if ra, rb := prod.DecodeRule(sim.NoRule); ra != sim.NoRule || rb != sim.NoRule {
 		t.Error("NoRule must decode to (NoRule, NoRule)")
 	}
-	if prod.internRule(1, 2) != prod.internRule(1, 2) {
-		t.Error("interning must be stable")
+	defer func() {
+		if recover() == nil {
+			t.Error("a pair beyond the declared bounds must panic")
+		}
+	}()
+	prod.internRule(ba+1, 0)
+}
+
+// unbounded wraps a protocol, hiding its rule bound.
+type unbounded struct{ sim.Protocol[int] }
+
+// TestNewRejectsUnboundedComponents: a component without a declared rule
+// bound cannot be interned at construction, so New refuses it by name.
+func TestNewRejectsUnboundedComponents(t *testing.T) {
+	t.Parallel()
+	g := graph.Ring(5)
+	bounded := bfstree.MustNew(g, 0)
+	for _, tc := range []struct {
+		name string
+		a, b sim.Protocol[int]
+	}{
+		{"first", unbounded{bounded}, bounded},
+		{"second", bounded, unbounded{bounded}},
+	} {
+		_, err := New[int, int](tc.a, tc.b)
+		if err == nil || !strings.Contains(err.Error(), "rule bound") || !strings.Contains(err.Error(), bounded.Name()) {
+			t.Errorf("%s component unbounded: got %v, want a rule-bound error naming %q", tc.name, err, bounded.Name())
+		}
 	}
 }
 

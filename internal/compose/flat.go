@@ -8,10 +8,9 @@ package compose
 // exactly so that composite records need no copying.
 //
 // The capability is conditional (the sim flat-provider hook): the product
-// is flat exactly when both components are flat AND both declare rule
-// bounds, because the batch kernels translate component rule pairs
-// through the pre-interned table — lock-free reads of an immutable
-// snapshot, which is what makes the kernels safe under the engine's
+// is flat exactly when both components are flat. The batch kernels
+// translate component rule pairs through the table New fills once and
+// never writes again, which is what makes them safe under the engine's
 // shard-parallel step.
 
 import (
@@ -23,7 +22,7 @@ import (
 // Flat implements the sim flat-capability hook.
 func (p *Product[A, B]) Flat() (sim.Flat[Pair[A, B]], bool) {
 	fa, fb := sim.FlatOf(p.a), sim.FlatOf(p.b)
-	if fa == nil || fb == nil || !p.eager {
+	if fa == nil || fb == nil {
 		return nil, false
 	}
 	pf := &productFlat[A, B]{p: p, fa: fa, fb: fb, wa: fa.FlatWords(), wb: fb.FlatWords()}
@@ -84,7 +83,7 @@ func (pf *productFlat[A, B]) DecodeStates(st []int64, stride, base int, vs []int
 
 // EnabledRuleFlat implements sim.Flat: both component kernels run over
 // the shared packed array (B at base offset +Wa), and the rule pairs are
-// translated through the pre-interned table.
+// translated through the interned table.
 func (pf *productFlat[A, B]) EnabledRuleFlat(st []int64, stride, base int, vs []int, rules []sim.Rule) {
 	s := pf.scratch.Get().(*prodScratch)
 	s.ra = grow(s.ra, len(vs))
@@ -96,7 +95,7 @@ func (pf *productFlat[A, B]) EnabledRuleFlat(st []int64, stride, base int, vs []
 			rules[i] = sim.NoRule
 			continue
 		}
-		rules[i] = pf.p.internFast(s.ra[i], s.rb[i])
+		rules[i] = pf.p.internRule(s.ra[i], s.rb[i])
 	}
 	pf.scratch.Put(s)
 }

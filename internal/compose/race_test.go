@@ -4,8 +4,8 @@ package compose_test
 // used to share projection scratch buffers across guard evaluations, so
 // compositions could not run under concurrent.RoundNetwork or the
 // engine's shard-parallel step. The buffers are pooled and the interning
-// table copy-on-write now; these tests drive both concurrent paths and
-// are meant to run under the race detector (CI does).
+// table is filled once at construction now; these tests drive both
+// concurrent paths and are meant to run under the race detector (CI does).
 
 import (
 	"context"
@@ -26,7 +26,7 @@ import (
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // newTestProduct builds unison × bfstree on a grid — both components
-// flat and rule-bounded, so the product is eager-interned and flat.
+// flat and rule-bounded, so the product is flat.
 func newTestProduct(t *testing.T) *compose.Product[int, int] {
 	t.Helper()
 	g := graph.Grid(3, 3)
@@ -69,7 +69,7 @@ func TestProductUnderRoundNetwork(t *testing.T) {
 }
 
 // TestProductSharedAcrossEngines drives several engines over ONE Product
-// value concurrently — the pooled projections and the copy-on-write rule
+// value concurrently — the pooled projections and the read-only rule
 // table must keep them independent.
 func TestProductSharedAcrossEngines(t *testing.T) {
 	t.Parallel()
@@ -95,9 +95,9 @@ func TestProductSharedAcrossEngines(t *testing.T) {
 	wg.Wait()
 }
 
-// TestProductParallelStepMatchesSequential runs the shard-parallel flat
-// engine against the sequential generic engine on a composition under the
-// synchronous daemon — the combination the satellite unlocks.
+// TestProductParallelStepMatchesSequential runs the shard-parallel engine
+// against the sequential one on a composition under the synchronous
+// daemon.
 func TestProductParallelStepMatchesSequential(t *testing.T) {
 	t.Parallel()
 	prod := newTestProduct(t)
@@ -105,18 +105,15 @@ func TestProductParallelStepMatchesSequential(t *testing.T) {
 
 	seq, err := sim.NewEngineWith[compose.Pair[int, int]](prod,
 		daemon.NewSynchronous[compose.Pair[int, int]](), initial, 7,
-		sim.Options{Backend: sim.BackendGeneric, Workers: 1})
+		sim.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	par, err := sim.NewEngineWith[compose.Pair[int, int]](prod,
 		daemon.NewSynchronous[compose.Pair[int, int]](), initial, 7,
-		sim.Options{Backend: sim.BackendFlat, Workers: 4, ShardSize: 2})
+		sim.Options{Workers: 4, ShardSize: 2})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if par.Backend() != sim.BackendFlat {
-		t.Fatal("product of flat components must run on the flat backend")
 	}
 	for i := 0; i < 40; i++ {
 		ps, err := seq.Step()

@@ -63,7 +63,7 @@ func E11LExclusion(cfg RunConfig) ([]*stats.Table, error) {
 	err := campaign.Sweep(cfg.pool(), cells,
 		func(cell) int { return trials },
 		func(c cell, t int) (runOutcome, error) {
-			e, err := newEngine[int](cfg, c.p, daemon.NewSynchronous[int](), c.initials[t], 1)
+			e, err := sim.NewEngine[int](c.p, daemon.NewSynchronous[int](), c.initials[t], 1)
 			if err != nil {
 				return runOutcome{}, err
 			}
@@ -87,7 +87,7 @@ func E11LExclusion(cfg RunConfig) ([]*stats.Table, error) {
 			if err != nil {
 				return err
 			}
-			e, err := newEngine[int](cfg, p, daemon.NewSynchronous[int](), initial, 1)
+			e, err := sim.NewEngine[int](p, daemon.NewSynchronous[int](), initial, 1)
 			if err != nil {
 				return err
 			}

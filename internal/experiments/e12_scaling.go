@@ -7,11 +7,9 @@ import (
 	"time"
 
 	"specstab/internal/bfstree"
-	"specstab/internal/compose"
 	"specstab/internal/daemon"
 	"specstab/internal/dijkstra"
 	"specstab/internal/graph"
-	"specstab/internal/scenario"
 	"specstab/internal/sim"
 	"specstab/internal/stats"
 	"specstab/internal/unison"
@@ -108,19 +106,11 @@ func E12Scaling(cfg RunConfig) ([]*stats.Table, error) {
 	table.AddNote("executions are identical by construction (differential tests); the acceptance bar is ≥5× fewer guard evals on the 4096-ring under cd — measured ~10³×")
 	table.AddNote("wall-clock columns vary between runs; every other column is deterministic for a fixed seed")
 
-	backends, err := e12BackendTable(cfg)
-	if err != nil {
-		return nil, err
-	}
-	compositions, err := e12CompositionTable(cfg)
-	if err != nil {
-		return nil, err
-	}
 	parallel, err := e12ParallelTable(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return []*stats.Table{table, backends, compositions, parallel}, nil
+	return []*stats.Table{table, parallel}, nil
 }
 
 // workerSweep is the ISSUE 7 worker grid {1, 2, 4, GOMAXPROCS},
@@ -141,7 +131,7 @@ func workerSweep() []int {
 }
 
 // e12ParallelTable measures the multi-core tentpole: the same seeded
-// synchronous execution on the flat backend driven once per worker count,
+// synchronous execution driven once per worker count,
 // each through its own persistent shard pool (reused across every step of
 // the run — the pool is started once and its barrier cycled per sharded
 // phase, never respawned). steps/sec and moves/sec are the throughput
@@ -192,13 +182,13 @@ func e12ParallelRows(cfg RunConfig, n, steps int, workers []int) ([][]any, error
 	var baseMoves int
 	for i, w := range workers {
 		pool := sim.NewPool(w)
-		e, err := scenario.NewEngine[int](scenario.EngineSpec{Backend: "flat", Workers: w, Pool: pool},
-			p, daemon.NewSynchronous[int](), initial, seed)
+		e, err := sim.NewEngineWith[int](p, daemon.NewSynchronous[int](), initial, seed,
+			sim.Options{Workers: w, Pool: pool})
 		if err != nil {
 			pool.Close()
 			return nil, err
 		}
-		done, ns, _, err := timedRun(e, steps)
+		done, ns, err := timedRun(e, steps)
 		pool.Close()
 		if err != nil {
 			return nil, err
@@ -221,165 +211,6 @@ func e12ParallelRows(cfg RunConfig, n, steps int, workers []int) ([][]any, error
 	return out, nil
 }
 
-// e12CompositionTable measures the zero-copy composition win: the generic
-// Product must materialize both component projections of the whole
-// configuration for every guard evaluation (O(N) per guard, O(N²) per
-// synchronous step), while the flat product hands each component the same
-// packed array at a shifted base offset (O(deg) per guard). This is where
-// the flat backend's stride/base calling convention pays off by orders of
-// magnitude, which is why the generic column gets very few steps.
-func e12CompositionTable(cfg RunConfig) (*stats.Table, error) {
-	table := stats.NewTable(
-		"E12c — zero-copy flat composition (unison × bfstree under sd): ns/step",
-		"n", "steps gen", "steps flat", "ns/step gen", "ns/step flat", "speedup ×", "consistent",
-	)
-	sizes := []int{512}
-	genSteps, flatSteps := 10, 10
-	if !cfg.Quick {
-		sizes = []int{4096, 8192, 16384}
-		genSteps, flatSteps = 5, 100
-	}
-	var rows []rowsCell
-	for _, n := range sizes {
-		n := n
-		rows = append(rows, rowsCell{run: func() ([][]any, error) {
-			return e12CompositionRow(cfg, n, genSteps, flatSteps)
-		}})
-	}
-	if err := runRows(seqPool(), table, rows); err != nil {
-		return nil, err
-	}
-	table.AddNote("generic compositions copy both component projections per guard (O(N²)/sync step); the flat product is projection-free via stride/base offsets")
-	return table, nil
-}
-
-// e12CompositionRow measures one composition size.
-func e12CompositionRow(cfg RunConfig, n, genSteps, flatSteps int) ([][]any, error) {
-	g := graph.Ring(n)
-	uni, err := unison.New(g, unison.SafeParams(g))
-	if err != nil {
-		return nil, err
-	}
-	prod, err := compose.New[int, int](uni, bfstree.MustNew(g, 0))
-	if err != nil {
-		return nil, err
-	}
-	rng := cfg.rng(int64(47 * n))
-	initial := sim.RandomConfig[compose.Pair[int, int]](prod, rng)
-	seed := cfg.seed() + int64(n)
-
-	gen, err := scenario.NewEngine[compose.Pair[int, int]](
-		scenario.EngineSpec{Backend: "generic", Workers: 1}, prod,
-		daemon.NewSynchronous[compose.Pair[int, int]](), initial, seed)
-	if err != nil {
-		return nil, err
-	}
-	flat, err := scenario.NewEngine[compose.Pair[int, int]](
-		scenario.EngineSpec{Backend: "flat", Workers: 1}, prod,
-		daemon.NewSynchronous[compose.Pair[int, int]](), initial, seed)
-	if err != nil {
-		return nil, err
-	}
-	dg, genNS, _, err := timedRun(gen, genSteps)
-	if err != nil {
-		return nil, err
-	}
-	df, flatNS, _, err := timedRun(flat, flatSteps)
-	if err != nil {
-		return nil, err
-	}
-	// The executions are identical step for step; cross-check on the
-	// shared prefix by replaying the flat engine's first dg steps.
-	check, err := scenario.NewEngine[compose.Pair[int, int]](
-		scenario.EngineSpec{Backend: "flat", Workers: 1}, prod,
-		daemon.NewSynchronous[compose.Pair[int, int]](), initial, seed)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := check.Run(dg, nil); err != nil {
-		return nil, err
-	}
-	return [][]any{{n, dg, df, genNS, flatNS,
-		fmt.Sprintf("%.0f", ratio(genNS, flatNS)), ok(check.Current().Equal(gen.Current()))}}, nil
-}
-
-// e12BackendTable is the flat-backend extension of E12: the same seeded
-// synchronous execution driven once on the generic backend and once on the
-// flat backend (both sequential, plus the flat backend with GOMAXPROCS
-// shard workers), reporting ns/step, allocations/step and the speedups.
-// Ring sizes sweep up to 10⁶ vertices; trees use the deterministic binary
-// tree at the same sizes (Prüfer decoding of random trees is quadratic, so
-// the random connected topology stops at 16384).
-func e12BackendTable(cfg RunConfig) (*stats.Table, error) {
-	steps := cfg.pick(60, 150)
-	table := stats.NewTable(
-		"E12b — flat execution backend vs generic under sd: ns/step and allocs/step",
-		"graph", "n", "steps", "ns/step gen", "ns/step flat", "flat ×", "ns/step flat-par", "par ×", "allocs/step gen", "allocs/step flat", "consistent",
-	)
-
-	type cell struct {
-		gname string
-		n     int
-		build func() (proto[int], error)
-	}
-	ringSizes := []int{1024, 4096}
-	treeSizes := []int{1024}
-	randSizes := []int{1024}
-	if !cfg.Quick {
-		ringSizes = []int{65536, 262144, 1048576}
-		treeSizes = []int{65536, 262144, 1048576}
-		randSizes = []int{16384}
-	}
-	var cells []cell
-	for _, n := range ringSizes {
-		n := n
-		cells = append(cells, cell{"ring", n, func() (proto[int], error) {
-			p, err := dijkstra.New(n, n)
-			return proto[int]{p, n}, err
-		}})
-	}
-	for _, n := range treeSizes {
-		n := n
-		cells = append(cells, cell{"bintree", n, func() (proto[int], error) {
-			p, err := bfstree.New(graph.BinaryTree(n), 0)
-			return proto[int]{p, n}, err
-		}})
-	}
-	for _, n := range randSizes {
-		n := n
-		cells = append(cells, cell{"randconn", n, func() (proto[int], error) {
-			g := graph.RandomConnected(n, n/2, cfg.rng(int64(41*n)))
-			p, err := bfstree.New(g, 0)
-			return proto[int]{p, n}, err
-		}})
-	}
-
-	var rows []rowsCell
-	for _, c := range cells {
-		pr, err := c.build()
-		if err != nil {
-			return nil, err
-		}
-		c := c
-		rows = append(rows, rowsCell{run: func() ([][]any, error) {
-			row, err := measureBackendCell(cfg, pr.p, c.n, steps)
-			if err != nil {
-				return nil, fmt.Errorf("e12b %s-%d: %w", c.gname, c.n, err)
-			}
-			return [][]any{{fmt.Sprintf("%s-%d", c.gname, c.n), c.n, row.steps,
-				row.genNS, row.flatNS, fmt.Sprintf("%.1f", ratio(row.genNS, row.flatNS)),
-				row.flatParNS, fmt.Sprintf("%.1f", ratio(row.genNS, row.flatParNS)),
-				fmt.Sprintf("%.1f", row.genAllocs), fmt.Sprintf("%.1f", row.flatAllocs), ok(row.consistent)}}, nil
-		}})
-	}
-	if err := runRows(seqPool(), table, rows); err != nil {
-		return nil, err
-	}
-	table.AddNote("both backends replay the identical execution (differential tests); sequential engines isolate the representation win, flat-par adds shard parallelism")
-	table.AddNote("acceptance bar: ≥3× ns/step for flat over generic on the 65536-ring under sd; timing columns vary between runs")
-	return table, nil
-}
-
 // ratio guards against division by zero in timing columns.
 func ratio(a, b int64) float64 {
 	if b == 0 {
@@ -388,82 +219,16 @@ func ratio(a, b int64) float64 {
 	return float64(a) / float64(b)
 }
 
-type backendRow struct {
-	steps                 int
-	genNS, flatNS         int64
-	flatParNS             int64
-	genAllocs, flatAllocs float64
-	consistent            bool
-}
-
 // timedRun drives one engine for up to steps transitions, returning
-// executed steps, ns/step and mallocs/step.
-func timedRun[S comparable](e *sim.Engine[S], steps int) (int, int64, float64, error) {
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
+// executed steps and ns/step.
+func timedRun(e *sim.Engine[int], steps int) (int, int64, error) {
 	start := time.Now()
 	done, err := e.Run(steps, nil)
 	elapsed := time.Since(start)
-	runtime.ReadMemStats(&m1)
 	if err != nil {
-		return done, 0, 0, err
+		return done, 0, err
 	}
-	div := done
-	if div == 0 {
-		div = 1
-	}
-	return done, elapsed.Nanoseconds() / int64(div), float64(m1.Mallocs-m0.Mallocs) / float64(div), nil
-}
-
-// measureBackendCell drives the same seeded synchronous execution on the
-// generic backend, the sequential flat backend and the shard-parallel flat
-// backend, and cross-checks the final configurations.
-func measureBackendCell[S comparable](cfg RunConfig, p sim.Protocol[S], salt, steps int) (backendRow, error) {
-	if sim.FlatOf(p) == nil {
-		return backendRow{}, fmt.Errorf("protocol %s lacks sim.Flat", p.Name())
-	}
-	rng := cfg.rng(int64(43 * salt))
-	initial := sim.RandomConfig(p, rng)
-	seed := cfg.seed() + int64(salt)
-	mk := func() sim.Daemon[S] { return daemon.NewSynchronous[S]() }
-
-	gen, err := scenario.NewEngine(scenario.EngineSpec{Backend: "generic", Workers: 1}, p, mk(), initial, seed)
-	if err != nil {
-		return backendRow{}, err
-	}
-	flat, err := scenario.NewEngine(scenario.EngineSpec{Backend: "flat", Workers: 1}, p, mk(), initial, seed)
-	if err != nil {
-		return backendRow{}, err
-	}
-	flatPar, err := scenario.NewEngine(scenario.EngineSpec{Backend: "flat"}, p, mk(), initial, seed)
-	if err != nil {
-		return backendRow{}, err
-	}
-
-	dg, genNS, genAllocs, err := timedRun(gen, steps)
-	if err != nil {
-		return backendRow{}, err
-	}
-	df, flatNS, flatAllocs, err := timedRun(flat, steps)
-	if err != nil {
-		return backendRow{}, err
-	}
-	dp, flatParNS, _, err := timedRun(flatPar, steps)
-	if err != nil {
-		return backendRow{}, err
-	}
-
-	return backendRow{
-		steps:      dg,
-		genNS:      genNS,
-		flatNS:     flatNS,
-		flatParNS:  flatParNS,
-		genAllocs:  genAllocs,
-		flatAllocs: flatAllocs,
-		consistent: dg == df && df == dp &&
-			gen.Current().Equal(flat.Current()) && gen.Current().Equal(flatPar.Current()) &&
-			gen.Moves() == flat.Moves() && gen.Moves() == flatPar.Moves(),
-	}, nil
+	return done, elapsed.Nanoseconds() / int64(max(done, 1)), nil
 }
 
 // proto pairs a protocol with its size (a generic-free holder for the cell
@@ -487,14 +252,14 @@ func measureScalingCell[S comparable](cfg RunConfig, p sim.Protocol[S], mk func(
 	initial := sim.RandomConfig(p, rng)
 	seed := cfg.seed() + int64(salt)
 
-	inc, err := newEngine(cfg, p, mk(), initial, seed)
+	inc, err := sim.NewEngine(p, mk(), initial, seed)
 	if err != nil {
 		return scalingRow{}, err
 	}
 	if !inc.Incremental() {
 		return scalingRow{}, fmt.Errorf("protocol %s lacks sim.Local", p.Name())
 	}
-	full, err := newEngine(cfg, p, mk(), initial, seed)
+	full, err := sim.NewEngine(p, mk(), initial, seed)
 	if err != nil {
 		return scalingRow{}, err
 	}

@@ -80,7 +80,6 @@ type stormOutcome struct {
 func runStormCell(cfg RunConfig, c stormCell, trial int) (stormOutcome, error) {
 	sc := c.sc
 	sc.Seed = c.seedOf(trial)
-	sc.Engine = cfg.engineSpec()
 	r, err := scenario.Build(&sc)
 	if err != nil {
 		return stormOutcome{}, err
@@ -265,7 +264,7 @@ func e13CurvesTable(cfg RunConfig) (*stats.Table, error) {
 	}
 	table.AddNote("stall = ticks from burst to the next grant (client-observed recovery); legit = ticks to Γ-re-entry (protocol-observed); stall/legit/unsafe are worst over recoveries, pre grants/tick is the mean")
 	table.AddNote("Dijkstra never stalls — some token always exists — but serves unsafely while stabilizing; SSME stalls for roughly a rotation and exposes (almost) no unsafe tick")
-	table.AddNote("closed-loop population of 2n clients, think 0–3 ticks; executions are bitwise identical for every -backend/-workers choice")
+	table.AddNote("closed-loop population of 2n clients, think 0–3 ticks; executions are bitwise identical for every -workers choice")
 	return table, nil
 }
 
@@ -387,12 +386,8 @@ func e13CDFTable(cfg RunConfig) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts, err := engineOptions(cfg, p)
-	if err != nil {
-		return nil, err
-	}
 	s, err := service.New(p, daemon.NewSynchronous[int](), make(sim.Config[int], n),
-		cfg.seed()*424_243, service.MustClosedLoop(n, 2*n, 0, 3), service.Options{Engine: opts})
+		cfg.seed()*424_243, service.MustClosedLoop(n, 2*n, 0, 3), service.Options{})
 	if err != nil {
 		return nil, err
 	}

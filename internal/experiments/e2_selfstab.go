@@ -62,7 +62,7 @@ func E2SelfStabilization(cfg RunConfig) ([]*stats.Table, error) {
 	err := campaign.Sweep(cfg.pool(), cells,
 		func(cell) int { return trials },
 		func(c cell, t int) (runOutcome, error) {
-			e, err := newEngine[int](cfg, c.p, c.mk(), c.initials[t], int64(t+1))
+			e, err := sim.NewEngine[int](c.p, c.mk(), c.initials[t], int64(t+1))
 			if err != nil {
 				return runOutcome{}, err
 			}
@@ -95,7 +95,7 @@ func E2SelfStabilization(cfg RunConfig) ([]*stats.Table, error) {
 				if err != nil {
 					return err
 				}
-				e, err := newEngine[int](cfg, c.p, daemon.NewRandomCentral[int](), initial, 99)
+				e, err := sim.NewEngine[int](c.p, daemon.NewRandomCentral[int](), initial, 99)
 				if err != nil {
 					return err
 				}

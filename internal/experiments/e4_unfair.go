@@ -75,7 +75,7 @@ func E4UnfairConvergence(cfg RunConfig) ([]*stats.Table, error) {
 	err := campaign.Sweep(cfg.pool(), cells,
 		func(cell) int { return trials },
 		func(c cell, t int) (runOutcome, error) {
-			e, err := newEngine[int](cfg, c.p, c.mk(), c.initials[t], int64(t+1))
+			e, err := sim.NewEngine[int](c.p, c.mk(), c.initials[t], int64(t+1))
 			if err != nil {
 				return runOutcome{}, err
 			}

@@ -6,6 +6,7 @@ import (
 	"specstab/internal/campaign"
 	"specstab/internal/core"
 	"specstab/internal/daemon"
+	"specstab/internal/sim"
 	"specstab/internal/stats"
 )
 
@@ -55,7 +56,7 @@ func E5LowerBound(cfg RunConfig) ([]*stats.Table, error) {
 				if err != nil {
 					return outcome{}, err
 				}
-				e, err := newEngine[int](cfg, p, daemon.NewSynchronous[int](), initial, 1)
+				e, err := sim.NewEngine[int](p, daemon.NewSynchronous[int](), initial, 1)
 				if err != nil {
 					return outcome{}, err
 				}

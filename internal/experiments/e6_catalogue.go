@@ -90,7 +90,7 @@ func e6Dijkstra(cfg RunConfig) (speculation.Certificate, error) {
 		if err != nil {
 			return speculation.Certificate{}, err
 		}
-		e := mustNewEngine[int](cfg, p, daemon.NewMaxIDCentral[int](), p.WorstConfig(), 1)
+		e := sim.MustEngine[int](p, daemon.NewMaxIDCentral[int](), p.WorstConfig(), 1)
 		out, err := measureRun(e, p.UnfairHorizonMoves(), n, p.SafeME, p.Legitimate)
 		if err != nil {
 			return speculation.Certificate{}, err
@@ -100,7 +100,7 @@ func e6Dijkstra(cfg RunConfig) (speculation.Certificate, error) {
 		worstSync := 0
 		rng := cfg.rng(int64(n))
 		for trial := 0; trial < cfg.pick(10, 40); trial++ {
-			e := mustNewEngine[int](cfg, p, daemon.NewSynchronous[int](), sim.RandomConfig[int](p, rng), 1)
+			e := sim.MustEngine[int](p, daemon.NewSynchronous[int](), sim.RandomConfig[int](p, rng), 1)
 			rep, err := sim.MeasureConvergence(e, p.SyncHorizon(), p.SafeME, p.Legitimate)
 			if err != nil {
 				return speculation.Certificate{}, err
@@ -133,7 +133,7 @@ func e6BFS(cfg RunConfig) (speculation.Certificate, error) {
 	for _, n := range sizes {
 		ring := bfstree.MustNew(graph.Ring(n), 0)
 		zero := make(sim.Config[int], n)
-		e := mustNewEngine[int](cfg, ring, daemon.NewGreedyCentral[int](ring, ring.ErrorMass), zero, 1)
+		e := sim.MustEngine[int](ring, daemon.NewGreedyCentral[int](ring, ring.ErrorMass), zero, 1)
 		if _, err := sim.RunToFixpoint(e, ring.UnfairHorizonMoves()); err != nil {
 			return speculation.Certificate{}, err
 		}
@@ -143,7 +143,7 @@ func e6BFS(cfg RunConfig) (speculation.Certificate, error) {
 		worstSync := 0
 		rng := cfg.rng(int64(5 * n))
 		for trial := 0; trial < cfg.pick(10, 30); trial++ {
-			e := mustNewEngine[int](cfg, path, daemon.NewSynchronous[int](), sim.RandomConfig[int](path, rng), 1)
+			e := sim.MustEngine[int](path, daemon.NewSynchronous[int](), sim.RandomConfig[int](path, rng), 1)
 			if _, err := sim.RunToFixpoint(e, path.SyncHorizon()); err != nil {
 				return speculation.Certificate{}, err
 			}
@@ -179,13 +179,13 @@ func e6Matching(cfg RunConfig) (speculation.Certificate, error) {
 		// courts the top remaining single each round (rule-priority
 		// schedule from the clean configuration).
 		churn := daemon.NewRulePriorityCentral[matching.State](p, matching.ChurnPriority())
-		e := mustNewEngine[matching.State](cfg, p, churn, p.CleanConfig(), 1)
+		e := sim.MustEngine[matching.State](p, churn, p.CleanConfig(), 1)
 		if _, err := sim.RunToFixpoint(e, 4*p.UnfairBoundMoves()); err != nil {
 			return speculation.Certificate{}, err
 		}
 		worstMoves := e.Moves()
 		for trial := 0; trial < cfg.pick(4, 10); trial++ {
-			e := mustNewEngine[matching.State](cfg, p,
+			e := sim.MustEngine[matching.State](p,
 				daemon.NewGreedyCentral[matching.State](p, p.ProgressPotential),
 				sim.RandomConfig[matching.State](p, rng), int64(trial+1))
 			if _, err := sim.RunToFixpoint(e, 4*p.UnfairBoundMoves()); err != nil {
@@ -199,7 +199,7 @@ func e6Matching(cfg RunConfig) (speculation.Certificate, error) {
 
 		worstSync := 0
 		for trial := 0; trial < cfg.pick(4, 10); trial++ {
-			e := mustNewEngine[matching.State](cfg, p, daemon.NewSynchronous[matching.State](),
+			e := sim.MustEngine[matching.State](p, daemon.NewSynchronous[matching.State](),
 				sim.RandomConfig[matching.State](p, rng), 1)
 			if _, err := sim.RunToFixpoint(e, p.SyncBoundSteps()+1); err != nil {
 				return speculation.Certificate{}, err
@@ -237,7 +237,7 @@ func e6SSME(cfg RunConfig) (speculation.Certificate, error) {
 		rng := cfg.rng(int64(11 * n))
 		worstMoves := 0
 		for trial := 0; trial < cfg.pick(3, 6); trial++ {
-			e := mustNewEngine[int](cfg, p, daemon.NewGreedyCentral[int](p, p.DisorderPotential),
+			e := sim.MustEngine[int](p, daemon.NewGreedyCentral[int](p, p.DisorderPotential),
 				sim.RandomConfig[int](p, rng), int64(trial+1))
 			out, err := measureRun(e, p.UnfairBoundMoves(), p.Clock().K, p.SafeME, p.Legitimate)
 			if err != nil {

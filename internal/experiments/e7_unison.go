@@ -84,12 +84,12 @@ func E7Unison(cfg RunConfig) ([]*stats.Table, error) {
 		func(c cell) int { return trials + len(c.udFactorys)*udTrials },
 		func(c cell, t int) (runOutcome, error) {
 			if t < trials {
-				e := mustNewEngine[int](cfg, c.u, daemon.NewSynchronous[int](), c.syncInit[t], 1)
+				e := sim.MustEngine[int](c.u, daemon.NewSynchronous[int](), c.syncInit[t], 1)
 				return measureRun(e, c.syncBound, c.u.Clock().K, c.u.Legitimate, c.u.Legitimate)
 			}
 			d := (t - trials) / udTrials
 			ut := (t - trials) % udTrials
-			e := mustNewEngine[int](cfg, c.u, c.udFactorys[d](), c.udInit[d][ut], int64(ut+1))
+			e := sim.MustEngine[int](c.u, c.udFactorys[d](), c.udInit[d][ut], int64(ut+1))
 			return measureRun(e, c.udBound, c.u.Clock().K, c.u.Legitimate, c.u.Legitimate)
 		},
 		func(c cell, outs []runOutcome) error {

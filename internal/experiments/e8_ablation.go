@@ -213,7 +213,7 @@ func e8ServiceCostRow(cfg RunConfig, n int) ([][]any, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := mustNewEngine[int](cfg, p, daemon.NewSynchronous[int](), initial, 1)
+	e := sim.MustEngine[int](p, daemon.NewSynchronous[int](), initial, 1)
 	svc, err := p.MeasureService(e, 3*p.ServiceWindow())
 	if err != nil {
 		return nil, err

@@ -91,7 +91,7 @@ func E9DaemonSpectrum(cfg RunConfig) ([]*stats.Table, error) {
 	err := campaign.Sweep(cfg.pool(), cells,
 		func(cell) int { return trials },
 		func(c cell, t int) (spectrumOutcome, error) {
-			e, err := newEngine[int](cfg, c.p, c.mk(), c.initials[t], int64(t+1))
+			e, err := sim.NewEngine[int](c.p, c.mk(), c.initials[t], int64(t+1))
 			if err != nil {
 				return spectrumOutcome{}, err
 			}

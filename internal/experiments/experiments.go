@@ -21,8 +21,6 @@ import (
 
 	"specstab/internal/campaign"
 	"specstab/internal/graph"
-	"specstab/internal/scenario"
-	"specstab/internal/sim"
 	"specstab/internal/stats"
 )
 
@@ -37,33 +35,6 @@ type RunConfig struct {
 	// are bitwise identical for every value — cells are seeded at
 	// grid-expansion time and folded in grid order (internal/campaign).
 	Workers int
-	// Backend selects the engine execution backend: "auto" (or empty),
-	// "generic", or "flat". "flat" forces the packed backend where the
-	// protocol provides it and falls back to generic elsewhere.
-	// Executions — and hence all non-timing columns — are bitwise
-	// identical for every value (DESIGN.md §6). It applies to engines the
-	// experiments construct directly; protocol-owned measurement helpers
-	// (e.g. core.MeasureSync) use the automatic backend.
-	Backend string
-}
-
-// engineSpec translates the Backend knob into the scenario layer's engine
-// spec: lenient, so "flat" sweeps fall back to the generic backend on
-// protocols without a codec instead of failing the whole suite.
-func (c RunConfig) engineSpec() scenario.EngineSpec {
-	return scenario.EngineSpec{Backend: c.Backend, LenientFlat: true}
-}
-
-// engineOptions resolves the Backend knob for a concrete protocol.
-func engineOptions[S comparable](cfg RunConfig, p sim.Protocol[S]) (sim.Options, error) {
-	return scenario.OptionsFor(cfg.engineSpec(), p)
-}
-
-// newEngine builds an engine honoring the RunConfig backend knob; every
-// experiment constructs its engines through the scenario layer's
-// chokepoint (specbench rows are scenario-resolved runs).
-func newEngine[S comparable](cfg RunConfig, p sim.Protocol[S], d sim.Daemon[S], initial sim.Config[S], seed int64) (*sim.Engine[S], error) {
-	return scenario.NewEngine(cfg.engineSpec(), p, d, initial, seed)
 }
 
 // pool is the deterministic worker pool every grid fans out on.
@@ -181,14 +152,4 @@ func runRows(pool campaign.Pool, table *stats.Table, cells []rowsCell) error {
 			}
 			return nil
 		})
-}
-
-// mustNewEngine is newEngine for statically correct inputs; it panics on
-// error (catalogue/trial-loop use, mirroring sim.MustEngine).
-func mustNewEngine[S comparable](cfg RunConfig, p sim.Protocol[S], d sim.Daemon[S], initial sim.Config[S], seed int64) *sim.Engine[S] {
-	e, err := newEngine(cfg, p, d, initial, seed)
-	if err != nil {
-		panic(err)
-	}
-	return e
 }

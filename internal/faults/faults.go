@@ -74,9 +74,9 @@ type Scenario[S comparable] struct {
 	Safe  func(sim.Config[S]) bool
 	// HorizonSteps bounds each recovery phase.
 	HorizonSteps int
-	// Engine selects the execution backend and shard workers of the
-	// recovery engines (zero value = automatic backend). Campaigns are
-	// bitwise identical for every choice.
+	// Engine selects the shard workers of the recovery engines (zero
+	// value = GOMAXPROCS). Campaigns are bitwise identical for every
+	// choice.
 	Engine scenario.EngineSpec
 }
 

@@ -21,7 +21,7 @@ import (
 //
 //  2. Every constructor registered in the scenario protocol registry must
 //     appear in the differential/conformance test matrix: a protocol that
-//     scenarios can name but the backend-equivalence tests never drive is
+//     scenarios can name but the worker-equivalence tests never drive is
 //     an unchecked determinism claim.
 var Capability = &Analyzer{
 	Name:      "capability",
@@ -95,12 +95,12 @@ func checkRegistryMatrix(pass *Pass) {
 	}
 	matrix := matrixStringLiterals(pass)
 	if len(matrix) == 0 {
-		pass.Reportf(pass.Pkg.Files[0].Pos(), "no *differential_test.go / *conformance*_test.go files found in %s: the registered protocols have no backend-equivalence matrix", pass.Pkg.Path)
+		pass.Reportf(pass.Pkg.Files[0].Pos(), "no *differential_test.go / *conformance*_test.go files found in %s: the registered protocols have no worker-equivalence matrix", pass.Pkg.Path)
 		return
 	}
 	for _, n := range names {
 		if !matrix[n.name] {
-			pass.Reportf(n.pos, "protocol %q is registered but absent from the differential/conformance test matrix: add it to the backend-equivalence tests (its determinism claim is otherwise unchecked)", n.name)
+			pass.Reportf(n.pos, "protocol %q is registered but absent from the differential/conformance test matrix: add it to the worker-equivalence tests (its determinism claim is otherwise unchecked)", n.name)
 		}
 	}
 }

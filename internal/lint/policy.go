@@ -10,7 +10,7 @@ package lint
 // moment it exists; exemptions must be claimed here, loudly, not inline.
 type Policy struct {
 	// Deterministic marks the packages whose executions must be bitwise
-	// reproducible across backends, worker counts and runs: detmap and
+	// reproducible across worker counts and runs: detmap and
 	// detrand apply only here.
 	Deterministic map[string]bool
 	// WallclockExemptPkgs lists whole packages whose business is real
@@ -52,9 +52,8 @@ func Default() *Policy {
 			"specstab/internal/lexclusion",
 			"specstab/internal/compose",
 			// Deterministic supporting layers: clock arithmetic, the
-			// formal spec/check machinery, fault injection, measurement.
+			// model checker, fault injection, measurement.
 			"specstab/internal/clock",
-			"specstab/internal/spec",
 			"specstab/internal/check",
 			"specstab/internal/faults",
 			"specstab/internal/speculation",

@@ -458,7 +458,7 @@ func finishService(sc *Scenario, g *graph.Graph, lock service.Lock, initial sim.
 	if err != nil {
 		return nil, err
 	}
-	opts, err := OptionsFor(sc.Engine, sim.Protocol[int](lock))
+	opts, err := sc.Engine.Options()
 	if err != nil {
 		return nil, err
 	}

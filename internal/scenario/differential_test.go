@@ -146,36 +146,34 @@ func TestScenarioMatchesHandBuiltService(t *testing.T) {
 	}
 }
 
-// TestScenarioBackendsAgree: one scenario, every backend/worker choice,
-// identical fingerprints — the engine's determinism contract surviving
-// the declarative layer.
+// TestScenarioBackendsAgree: one scenario, every worker choice, identical
+// fingerprints — the engine's determinism contract surviving the
+// declarative layer.
 func TestScenarioBackendsAgree(t *testing.T) {
 	t.Parallel()
 	var prints []uint64
-	for _, be := range []string{"generic", "flat"} {
-		for _, w := range []int{1, 4} {
-			sc := &scenario.Scenario{
-				Seed:     9,
-				Protocol: scenario.ProtocolSpec{Name: "ssme"},
-				Topology: scenario.TopologySpec{Name: "ring", N: 16},
-				Daemon:   scenario.DaemonSpec{Name: "distributed", P: 0.3},
-				Engine:   scenario.EngineSpec{Backend: be, Workers: w},
-				Init:     scenario.InitSpec{Mode: "random"},
-				Stop:     scenario.StopSpec{Steps: 150},
-			}
-			run, err := scenario.Build(sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := run.Execute(); err != nil {
-				t.Fatal(err)
-			}
-			prints = append(prints, run.Probes().Fingerprint())
+	for _, w := range []int{1, 4, 8} {
+		sc := &scenario.Scenario{
+			Seed:     9,
+			Protocol: scenario.ProtocolSpec{Name: "ssme"},
+			Topology: scenario.TopologySpec{Name: "ring", N: 16},
+			Daemon:   scenario.DaemonSpec{Name: "distributed", P: 0.3},
+			Engine:   scenario.EngineSpec{Workers: w},
+			Init:     scenario.InitSpec{Mode: "random"},
+			Stop:     scenario.StopSpec{Steps: 150},
 		}
+		run, err := scenario.Build(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := run.Execute(); err != nil {
+			t.Fatal(err)
+		}
+		prints = append(prints, run.Probes().Fingerprint())
 	}
 	for i := 1; i < len(prints); i++ {
 		if prints[i] != prints[0] {
-			t.Fatalf("fingerprints diverge across backends/workers: %x", prints)
+			t.Fatalf("fingerprints diverge across worker counts: %x", prints)
 		}
 	}
 }

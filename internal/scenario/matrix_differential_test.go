@@ -1,10 +1,9 @@
 package scenario_test
 
-// The registry × backend differential matrix: every protocol constructor
+// The registry × workers differential matrix: every protocol constructor
 // registered in the scenario registry is driven through the same scenario
-// on the generic backend (1 worker) and the flat backend (8 workers), and
-// the executions must agree exactly — steps, moves, rounds and the
-// configuration fingerprint. This is the machine-checked coupling the
+// on 1 worker and on 8 workers, and the executions must agree exactly —
+// steps, moves, rounds and the configuration fingerprint. This is the machine-checked coupling the
 // capability analyzer (internal/lint) enforces: a protocol that scenarios
 // can name but this matrix does not exercise fails `speclint ./...`.
 
@@ -67,16 +66,16 @@ func TestRegistryBackendDifferentialMatrix(t *testing.T) {
 			daemon := daemon
 			t.Run(fmt.Sprintf("%s/%s", tc.label, daemon), func(t *testing.T) {
 				t.Parallel()
-				gSteps, gMoves, gRounds, gFP := runCell(t, tc.protocol, tc.topology, daemon,
-					scenario.EngineSpec{Backend: "generic", Workers: 1})
-				fSteps, fMoves, fRounds, fFP := runCell(t, tc.protocol, tc.topology, daemon,
-					scenario.EngineSpec{Backend: "flat", Workers: 8})
-				if gSteps != fSteps || gMoves != fMoves || gRounds != fRounds {
-					t.Fatalf("backends diverge: generic (%d steps, %d moves, %d rounds) vs flat (%d, %d, %d)",
-						gSteps, gMoves, gRounds, fSteps, fMoves, fRounds)
+				sSteps, sMoves, sRounds, sFP := runCell(t, tc.protocol, tc.topology, daemon,
+					scenario.EngineSpec{Workers: 1})
+				pSteps, pMoves, pRounds, pFP := runCell(t, tc.protocol, tc.topology, daemon,
+					scenario.EngineSpec{Workers: 8})
+				if sSteps != pSteps || sMoves != pMoves || sRounds != pRounds {
+					t.Fatalf("worker counts diverge: 1 worker (%d steps, %d moves, %d rounds) vs 8 (%d, %d, %d)",
+						sSteps, sMoves, sRounds, pSteps, pMoves, pRounds)
 				}
-				if gFP != fFP {
-					t.Fatalf("configuration fingerprints diverge: generic %x, flat %x", gFP, fFP)
+				if sFP != pFP {
+					t.Fatalf("configuration fingerprints diverge: 1 worker %x, 8 workers %x", sFP, pFP)
 				}
 			})
 		}

@@ -371,8 +371,7 @@ func (t *Telemetry) Name() string { return "telemetry" }
 func (t *Telemetry) Hub() *telemetry.Hub { return t.hub }
 
 // Report implements Observer. The summary is a function of logical time
-// only, so scenario reports stay byte-identical across backends and
-// worker counts (the CI scenarios job diffs exactly that).
+// only, so scenario reports stay byte-identical across worker counts (the CI scenarios job diffs exactly that).
 func (t *Telemetry) Report(w io.Writer) {
 	snap := t.hub.Gather()
 	sink := "detached hub"

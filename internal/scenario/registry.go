@@ -158,47 +158,24 @@ func NewDaemon[S comparable](spec DaemonSpec, n int) (sim.Daemon[S], error) {
 	}
 }
 
-// BackendNames returns the -backend registry names.
-func BackendNames() []string { return []string{"auto", "generic", "flat"} }
-
-// Options resolves the spec to engine options, strictly: "flat" on a
-// protocol without the Flat capability fails inside sim.NewEngineWith.
-// Use OptionsFor when the protocol is at hand (it implements LenientFlat).
+// Options resolves the spec to engine options. The engine has one
+// execution representation, so Backend selects nothing: the values older
+// scenario files carry ("", "auto", "generic", "flat") are accepted and
+// ignored, and any other value is still an error.
 func (es EngineSpec) Options() (sim.Options, error) {
-	opts := sim.Options{Workers: es.Workers, Pool: es.Pool}
 	switch strings.ToLower(es.Backend) {
-	case "", "auto":
-		opts.Backend = sim.BackendAuto
-	case "generic":
-		opts.Backend = sim.BackendGeneric
-	case "flat":
-		opts.Backend = sim.BackendFlat
+	case "", "auto", "generic", "flat":
+		return sim.Options{Workers: es.Workers, Pool: es.Pool}, nil
 	default:
-		return sim.Options{}, fmt.Errorf("unknown backend %q (choose from: %s)", es.Backend, strings.Join(BackendNames(), ", "))
+		return sim.Options{}, fmt.Errorf("unknown backend %q (accepted and ignored: auto, generic, flat)", es.Backend)
 	}
-	return opts, nil
 }
 
-// OptionsFor resolves the spec against a concrete protocol: with
-// LenientFlat set, "flat" falls back to the generic backend when p lacks
-// the Flat capability (the experiment harness's sweep semantics).
-func OptionsFor[S comparable](es EngineSpec, p sim.Protocol[S]) (sim.Options, error) {
-	opts, err := es.Options()
-	if err != nil {
-		return sim.Options{}, err
-	}
-	if opts.Backend == sim.BackendFlat && es.LenientFlat && sim.FlatOf(p) == nil {
-		opts.Backend = sim.BackendGeneric
-	}
-	return opts, nil
-}
-
-// NewEngine builds an engine for an already-constructed protocol through
-// the scenario layer's backend resolution — the single chokepoint the
-// registry builders, the experiment harness and the fault harness all
-// construct engines with.
+// NewEngine builds an engine for an already-constructed protocol from an
+// engine spec — the chokepoint the registry builders and the fault
+// harness construct engines with.
 func NewEngine[S comparable](es EngineSpec, p sim.Protocol[S], d sim.Daemon[S], initial sim.Config[S], seed int64) (*sim.Engine[S], error) {
-	opts, err := OptionsFor(es, p)
+	opts, err := es.Options()
 	if err != nil {
 		return nil, err
 	}
@@ -295,10 +272,6 @@ func List() string {
 		}
 		fmt.Fprintf(&b, "  %-12s %s%s\n", e.name, e.desc, alias)
 	}
-	b.WriteString("backends:\n")
-	fmt.Fprintf(&b, "  %-12s %s\n", "auto", "flat when the protocol provides a codec, generic otherwise")
-	fmt.Fprintf(&b, "  %-12s %s\n", "generic", "interface-dispatched execution on typed states")
-	fmt.Fprintf(&b, "  %-12s %s\n", "flat", "packed []int64 execution with batch kernels")
 	b.WriteString("workloads:\n")
 	for _, e := range workloadRegistry {
 		fmt.Fprintf(&b, "  %-12s %s\n", e.name, e.desc)

@@ -38,7 +38,6 @@ func TestRegistryNamesNonEmpty(t *testing.T) {
 		"protocols":  scenario.ProtocolNames(),
 		"topologies": scenario.TopologyNames(),
 		"daemons":    scenario.DaemonNames(),
-		"backends":   scenario.BackendNames(),
 		"workloads":  scenario.WorkloadNames(),
 		"init modes": scenario.InitModes(),
 		"observers":  scenario.ObserverNames(),

@@ -22,7 +22,6 @@ type Engine interface {
 	GuardEvals() int64
 	Incremental() bool
 	EnabledCount() int
-	Backend() sim.Backend
 	Workers() int
 	AddHook(sim.Hook) sim.HookID
 	RemoveHook(sim.HookID) bool
@@ -230,8 +229,8 @@ func (r *Run) stepLoop() error {
 // run, then every observer's report in specification order. Drivers with
 // historical output formats (cmd/ssme, cmd/locksim's flag path) render
 // their own reports from the accessors instead; this is the shared format
-// of `locksim -scenario`. The execution backend is deliberately omitted —
-// executions are identical across backends, and the report stays
+// of `locksim -scenario`. The engine spec is deliberately omitted —
+// executions are identical across worker counts, and the report stays
 // byte-comparable between them (the CI scenarios job diffs exactly that).
 func (r *Run) WriteReport(w io.Writer) error {
 	name := r.sc.Name

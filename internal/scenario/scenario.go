@@ -1,6 +1,6 @@
 // Package scenario is the declarative run layer: a Scenario value names —
 // rather than hand-wires — everything one execution of the paper's
-// evaluation grid needs (protocol × topology × daemon × backend × initial
+// evaluation grid needs (protocol × topology × daemon × engine workers × initial
 // configuration × workload × fault storm × stop condition × observers),
 // validates it against named registries of constructors, builds the typed
 // engine or service simulation behind a type-erased Run, and executes it
@@ -44,8 +44,8 @@ type Scenario struct {
 	Topology TopologySpec `json:"topology"`
 	// Daemon names the adversary (default: sync).
 	Daemon DaemonSpec `json:"daemon,omitempty"`
-	// Engine selects the execution backend and shard workers; executions
-	// are bitwise identical for every choice (DESIGN.md §6).
+	// Engine selects the shard workers; executions are bitwise identical
+	// for every choice (DESIGN.md §6).
 	Engine EngineSpec `json:"engine,omitempty"`
 	// Init selects the initial-configuration policy (default: the
 	// protocol's registry default — a legitimate start for locks, random
@@ -115,20 +115,18 @@ type DaemonSpec struct {
 	Schedule [][]int `json:"-"`
 }
 
-// EngineSpec selects the execution backend and parallelism of the
-// underlying sim.Engine. Every choice produces the identical execution;
-// only the cost of producing it changes.
+// EngineSpec selects the parallelism of the underlying sim.Engine. Every
+// choice produces the identical execution; only the cost of producing it
+// changes.
 type EngineSpec struct {
-	// Backend is "", "auto", "generic" or "flat".
+	// Backend is accepted for compatibility with older scenario and
+	// campaign files and ignored: "", "auto", "generic" and "flat" all
+	// run the engine's one (packed) representation; other values are
+	// rejected.
 	Backend string `json:"backend,omitempty"`
 	// Workers bounds the shard workers of the parallel evaluate phase
 	// (0 = GOMAXPROCS, or the width of Pool when one is set).
 	Workers int `json:"workers,omitempty"`
-	// LenientFlat makes "flat" fall back to the generic backend when the
-	// protocol lacks the Flat capability instead of failing — the sweep
-	// semantics of the experiment harness. JSON scenarios normally leave
-	// it false: asking for flat on a protocol without a codec is an error.
-	LenientFlat bool `json:"lenientFlat,omitempty"`
 	// Pool is a shared persistent worker pool for the engine's sharded
 	// phases — a runtime handle, not part of the declarative spec (the
 	// campaign layer injects one so every cell×trial engine of a sweep

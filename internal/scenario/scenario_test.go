@@ -2,6 +2,7 @@ package scenario_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -25,7 +26,7 @@ func randScenario(rng *rand.Rand) *scenario.Scenario {
 		},
 		Topology: scenario.TopologySpec{Name: pick(scenario.TopologyNames()), N: 4 + rng.Intn(12)},
 		Daemon:   scenario.DaemonSpec{Name: pick(scenario.DaemonNames()), P: rng.Float64()},
-		Engine:   scenario.EngineSpec{Backend: pick(scenario.BackendNames()), Workers: rng.Intn(4)},
+		Engine:   scenario.EngineSpec{Backend: pick([]string{"auto", "generic", "flat"}), Workers: rng.Intn(4)},
 		Init:     scenario.InitSpec{Mode: pick(scenario.InitModes()), Value: rng.Intn(5)},
 		Stop:     scenario.StopSpec{Steps: rng.Intn(100), UntilLegitimate: rng.Intn(2) == 0},
 	}
@@ -78,6 +79,46 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	_, err := scenario.Parse(strings.NewReader(`{"protocol":{"name":"ssme"},"topologee":{"name":"ring","n":8}}`))
 	if err == nil || !strings.Contains(err.Error(), "topologee") {
 		t.Fatalf("want unknown-field error naming the typo, got %v", err)
+	}
+}
+
+// TestBackendFieldIsAcceptedNoOp: scenario files written when the engine
+// had a backend switch still load and run, and the field changes nothing —
+// generic, flat and absent produce the same fingerprint. Values the
+// switch never accepted are still refused.
+func TestBackendFieldIsAcceptedNoOp(t *testing.T) {
+	t.Parallel()
+	const tmpl = `{"seed": 5, "protocol": {"name": "ssme"}, "topology": {"name": "ring", "n": 12},
+		"daemon": {"name": "distributed", "p": 0.4}, %s"stop": {"steps": 120}}`
+	run := func(engine string) (uint64, error) {
+		sc, err := scenario.Parse(strings.NewReader(fmt.Sprintf(tmpl, engine)))
+		if err != nil {
+			return 0, err
+		}
+		r, err := scenario.Build(sc)
+		if err != nil {
+			return 0, err
+		}
+		if err := r.Execute(); err != nil {
+			return 0, err
+		}
+		return r.Probes().Fingerprint(), nil
+	}
+	want, err := run("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []string{"generic", "flat"} {
+		got, err := run(`"engine": {"backend": "` + b + `"}, `)
+		if err != nil {
+			t.Fatalf("backend %q: %v", b, err)
+		}
+		if got != want {
+			t.Fatalf("backend %q: fingerprint %x, want %x (no backend)", b, got, want)
+		}
+	}
+	if _, err := run(`"engine": {"backend": "gpu"}, `); err == nil || !strings.Contains(err.Error(), "unknown backend") {
+		t.Fatalf("backend \"gpu\": got %v, want an unknown backend error", err)
 	}
 }
 

@@ -25,8 +25,7 @@
 // Everything is deterministic for a fixed seed: the service draws all of
 // its randomness (arrival processes, think times, burst targets) from one
 // sequentially-consumed generator, and the engine underneath guarantees
-// bitwise-identical executions for every backend, worker count and shard
-// size (DESIGN.md §6–§7). Service executions therefore fingerprint
+// bitwise-identical executions for every worker count and shard size (DESIGN.md §6–§7). Service executions therefore fingerprint
 // identically across -workers 1 and -workers GOMAXPROCS — asserted by the
 // differential tests of this package.
 package service
@@ -63,7 +62,7 @@ type Legitimizer interface {
 
 // Options configures a service simulation beyond the mandatory arguments
 // of New. The zero value means: 1-tick critical sections, capacity 1
-// (mutual exclusion), automatic engine backend, no lease bound.
+// (mutual exclusion), default engine options, no lease bound.
 type Options struct {
 	// Hold is the critical-section hold time in ticks (default 1).
 	Hold int
@@ -76,8 +75,7 @@ type Options struct {
 	// loses the lock at the lease horizon instead of stalling the
 	// privilege rotation forever. Sim.LeaseExpired counts the reclaims.
 	Lease int
-	// Engine configures the underlying sim.Engine (backend, shard
-	// workers). Every choice produces the identical service execution.
+	// Engine configures the underlying sim.Engine (shard workers). Every choice produces the identical service execution.
 	Engine sim.Options
 }
 

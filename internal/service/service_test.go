@@ -179,8 +179,8 @@ func TestStormRecovers(t *testing.T) {
 
 // TestServiceWorkerInvariance is the acceptance differential: the same
 // seeded service execution — including a live mid-run fault burst — must
-// fingerprint bitwise identically across engine backends and worker
-// counts. ShardSize 2 forces the parallel evaluate phase even at n=16.
+// fingerprint bitwise identically across engine worker counts and shard
+// sizes. ShardSize 1 and 2 force the parallel phases even at n=16.
 func TestServiceWorkerInvariance(t *testing.T) {
 	t.Parallel()
 	const n = 16
@@ -202,18 +202,18 @@ func TestServiceWorkerInvariance(t *testing.T) {
 		}
 		return s.Fingerprint(), s.Totals()
 	}
-	refFP, refM := drive(sim.Options{Backend: sim.BackendGeneric, Workers: 1})
+	refFP, refM := drive(sim.Options{Workers: 1})
 	variants := []sim.Options{
-		{Backend: sim.BackendFlat, Workers: 1},
-		{Backend: sim.BackendFlat, Workers: 4, ShardSize: 2},
-		{Backend: sim.BackendFlat, Workers: runtime.GOMAXPROCS(0), ShardSize: 2},
-		{Backend: sim.BackendGeneric, Workers: runtime.GOMAXPROCS(0), ShardSize: 2},
+		{Workers: 8, ShardSize: 1},
+		{Workers: 4, ShardSize: 2},
+		{Workers: runtime.GOMAXPROCS(0), ShardSize: 2},
+		{Workers: 8},
 	}
 	for i, opts := range variants {
 		fp, m := drive(opts)
 		if fp != refFP {
-			t.Fatalf("variant %d (%v workers %d): fingerprint %x diverges from reference %x",
-				i, opts.Backend, opts.Workers, fp, refFP)
+			t.Fatalf("variant %d (workers %d, shard %d): fingerprint %x diverges from reference %x",
+				i, opts.Workers, opts.ShardSize, fp, refFP)
 		}
 		if m != refM {
 			t.Fatalf("variant %d: metrics diverge: %+v vs %+v", i, m, refM)

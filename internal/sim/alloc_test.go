@@ -21,7 +21,7 @@ func TestFusedStepZeroAlloc(t *testing.T) {
 	p := unisonRing(t, n)
 	for _, workers := range []int{1, 2} {
 		e, err := sim.NewEngineWith(p, daemon.NewSynchronous[int](), make(sim.Config[int], n), 1,
-			sim.Options{Backend: sim.BackendFlat, Workers: workers})
+			sim.Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,17 +1,20 @@
 package sim_test
 
-// Differential validation of the incremental enabled-set tracker: for
-// every protocol of the repository, under every daemon family, across
-// randomized seeds, an incremental engine and a full-rescan engine driven
-// from the same initial configuration and seed must produce bitwise
-// identical executions — same selected vertices, same rules, same round
-// boundaries, same final configuration — while the incremental engine
-// performs strictly fewer guard evaluations under sparse schedules.
+// Differential validation of the engine: for every protocol of the
+// repository, under every daemon family, across randomized seeds, every
+// engine variant must replay the execution of a sequential reference
+// stepper that interprets the guarded rules directly (refStepper) — same
+// selected vertices, same rules, same round boundaries, same
+// configuration after every step. A second matrix pins the incremental
+// enabled-set tracker against full rescans, which must produce identical
+// executions while the incremental engine performs strictly fewer guard
+// evaluations under sparse schedules.
 
 import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 
 	"specstab/internal/bfstree"
@@ -169,90 +172,175 @@ func TestDifferentialIncrementalVsFullRescan(t *testing.T) {
 	runMatrix[compose.Pair[int, int]](t, "product", compose.MustNew[int, int](uniGrid, bfstree.MustNew(grid, 4)), 150)
 }
 
-// backendVariant is one engine construction recipe of the backend matrix.
-type backendVariant struct {
-	name string
-	opts sim.Options
+// refStepper is the model's semantics in a screenful, the sequential
+// reference every engine variant is checked against. It interprets the
+// protocol's guarded rules on a plain Config[S] — no packed state, no
+// enabled-set tracking, no shards: the daemon selects among the enabled
+// vertices, every selected vertex computes its move against the frozen
+// configuration, all moves commit together, and rounds are counted by
+// their definition (a round ends once every vertex enabled at its start
+// has fired or is observed disabled).
+type refStepper[S comparable] struct {
+	p                    sim.Protocol[S]
+	d                    sim.Daemon[S]
+	rng                  *rand.Rand
+	cfg                  sim.Config[S]
+	owed                 map[int]bool
+	steps, moves, rounds int
 }
 
-// backendMatrix returns the variants compared against the sequential
-// generic reference: the generic backend under shard parallelism, and —
-// when the protocol provides sim.Flat — the flat backend (fused
-// synchronous path included) under worker counts {1, 4, GOMAXPROCS}.
-// ShardSize 2 forces the parallel evaluate phase even on the tiny test
-// graphs; ShardSize 1 is the degenerate one-vertex-per-shard extreme.
-func backendMatrix(flat bool) []backendVariant {
-	vs := []backendVariant{
-		{"generic/w4", sim.Options{Backend: sim.BackendGeneric, Workers: 4, ShardSize: 2}},
-		{"generic/w4/s1", sim.Options{Backend: sim.BackendGeneric, Workers: 4, ShardSize: 1}},
-		{"generic/wmax", sim.Options{Backend: sim.BackendGeneric, Workers: runtime.GOMAXPROCS(0), ShardSize: 2}},
-	}
-	if flat {
-		vs = append(vs,
-			backendVariant{"flat/w1", sim.Options{Backend: sim.BackendFlat, Workers: 1}},
-			backendVariant{"flat/w4", sim.Options{Backend: sim.BackendFlat, Workers: 4, ShardSize: 2}},
-			backendVariant{"flat/w4/s1", sim.Options{Backend: sim.BackendFlat, Workers: 4, ShardSize: 1}},
-			backendVariant{"flat/wmax", sim.Options{Backend: sim.BackendFlat, Workers: runtime.GOMAXPROCS(0), ShardSize: 2}},
-		)
-	}
-	return vs
+func newRefStepper[S comparable](p sim.Protocol[S], d sim.Daemon[S], initial sim.Config[S], seed int64) *refStepper[S] {
+	r := &refStepper[S]{p: p, d: d, rng: rand.New(rand.NewSource(seed)), cfg: initial.Clone()}
+	r.charge()
+	return r
 }
 
-// diffBackends drives the sequential generic reference engine and every
-// backend/worker variant from the same initial configuration and seed,
-// asserting bitwise identical executions.
+// charge opens a round owed by every currently enabled vertex.
+func (r *refStepper[S]) charge() {
+	r.owed = map[int]bool{}
+	for _, v := range sim.Enabled(r.p, r.cfg, nil) {
+		r.owed[v] = true
+	}
+}
+
+// setConfig injects c, abandoning the current round as the engine does.
+func (r *refStepper[S]) setConfig(c sim.Config[S]) {
+	r.cfg = c.Clone()
+	r.charge()
+}
+
+// step executes one transition; ok is false on a terminal configuration.
+func (r *refStepper[S]) step() (rec stepRecord, ok bool, err error) {
+	enabled := sim.Enabled(r.p, r.cfg, nil)
+	if len(enabled) == 0 {
+		return stepRecord{}, false, nil
+	}
+	sel := append([]int(nil), r.d.Select(r.cfg, enabled, r.rng)...)
+	if len(sel) == 0 {
+		return stepRecord{}, false, fmt.Errorf("reference: %s returned an empty selection", r.d.Name())
+	}
+	sort.Ints(sel)
+	rules := make([]sim.Rule, len(sel))
+	next := make([]S, len(sel))
+	for i, v := range sel {
+		rule, ok := r.p.EnabledRule(r.cfg, v)
+		if !ok {
+			return stepRecord{}, false, fmt.Errorf("reference: %s selected disabled vertex %d", r.d.Name(), v)
+		}
+		rules[i], next[i] = rule, r.p.Apply(r.cfg, v, rule)
+	}
+	for i, v := range sel {
+		r.cfg[v] = next[i]
+	}
+	r.steps++
+	r.moves += len(sel)
+	for _, v := range sel {
+		delete(r.owed, v)
+	}
+	for v := range r.owed {
+		if _, ok := r.p.EnabledRule(r.cfg, v); !ok {
+			delete(r.owed, v)
+		}
+	}
+	if len(r.owed) == 0 {
+		r.rounds++
+		r.charge()
+	}
+	return stepRecord{activated: sel, rules: rules, rounds: r.rounds}, true, nil
+}
+
+// lockstep drives e and ref together for at most steps transitions and
+// fails at the first divergence in progress, selection, rules,
+// configuration or round count, then compares the counters.
+func lockstep[S comparable](t *testing.T, name string, e *sim.Engine[S], ref *refStepper[S], steps int) {
+	t.Helper()
+	var got stepRecord
+	id := e.AddHook(func(info sim.StepInfo) {
+		got.activated = append(got.activated[:0], info.Activated...)
+		got.rules = append(got.rules[:0], info.Rules...)
+	})
+	defer e.RemoveHook(id)
+	for i := 1; i <= steps; i++ {
+		progressed, err := e.Step()
+		want, wantProgress, wantErr := ref.step()
+		if err != nil || wantErr != nil {
+			t.Fatalf("%s step %d: engine error %v, reference error %v", name, i, err, wantErr)
+		}
+		if progressed != wantProgress {
+			t.Fatalf("%s step %d: engine progressed=%v, reference %v", name, i, progressed, wantProgress)
+		}
+		if !progressed {
+			break
+		}
+		if fmt.Sprint(got.activated) != fmt.Sprint(want.activated) {
+			t.Fatalf("%s step %d: selected vertices diverge: %v vs reference %v", name, i, got.activated, want.activated)
+		}
+		if fmt.Sprint(got.rules) != fmt.Sprint(want.rules) {
+			t.Fatalf("%s step %d: rules diverge: %v vs reference %v", name, i, got.rules, want.rules)
+		}
+		if !e.Current().Equal(ref.cfg) {
+			t.Fatalf("%s step %d: configurations diverge:\n%v\nreference\n%v", name, i, e.Current(), ref.cfg)
+		}
+		if e.Rounds() != want.rounds {
+			t.Fatalf("%s step %d: round counters diverge: %d vs reference %d", name, i, e.Rounds(), want.rounds)
+		}
+	}
+	if e.Steps() != ref.steps || e.Moves() != ref.moves || e.Rounds() != ref.rounds {
+		t.Fatalf("%s: counters diverge: steps %d/%d moves %d/%d rounds %d/%d", name,
+			e.Steps(), ref.steps, e.Moves(), ref.moves, e.Rounds(), ref.rounds)
+	}
+}
+
+// engineVariant is one engine construction recipe of the differential
+// matrix; rescan disables the incremental enabled-set tracker.
+type engineVariant struct {
+	name   string
+	opts   sim.Options
+	rescan bool
+}
+
+// engineMatrix returns the variants compared against the reference
+// stepper: the incremental engine (fused synchronous path included) under
+// worker counts {1, 4, GOMAXPROCS}, and the full-rescan engine sequential
+// and sharded. ShardSize 2 forces the parallel phases even on the tiny
+// test graphs; ShardSize 1 is the degenerate one-vertex-per-shard extreme.
+func engineMatrix() []engineVariant {
+	return []engineVariant{
+		{"flat/w1", sim.Options{Workers: 1}, false},
+		{"flat/w4", sim.Options{Workers: 4, ShardSize: 2}, false},
+		{"flat/w4/s1", sim.Options{Workers: 4, ShardSize: 1}, false},
+		{"flat/wmax", sim.Options{Workers: runtime.GOMAXPROCS(0), ShardSize: 2}, false},
+		{"rescan/w1", sim.Options{Workers: 1}, true},
+		{"rescan/w4/s1", sim.Options{Workers: 4, ShardSize: 1}, true},
+	}
+}
+
+// diffBackends drives every engine variant and the reference stepper from
+// the same initial configuration and seed, in lockstep.
 func diffBackends[S comparable](t *testing.T, p sim.Protocol[S], mk func() sim.Daemon[S], seed int64, steps int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	initial := sim.RandomConfig(p, rng)
-
-	ref, err := sim.NewEngineWith(p, mk(), initial, seed, sim.Options{Backend: sim.BackendGeneric, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := trace(t, ref, steps)
-
-	for _, v := range backendMatrix(sim.FlatOf(p) != nil) {
+	for _, v := range engineMatrix() {
 		e, err := sim.NewEngineWith(p, mk(), initial, seed, v.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}
-		got := trace(t, e, steps)
+		if v.rescan {
+			e.DisableIncremental()
+		}
+		lockstep(t, v.name, e, newRefStepper(p, mk(), initial, seed), steps)
 		// Release owned pools deterministically: the matrix builds many
 		// parallel engines, and parked helpers should not accumulate until
 		// the collector gets around to them.
-		defer e.Close()
-		if len(got) != len(want) {
-			t.Fatalf("%s: execution lengths diverge: %d vs %d", v.name, len(got), len(want))
-		}
-		for i := range want {
-			if fmt.Sprint(got[i].activated) != fmt.Sprint(want[i].activated) {
-				t.Fatalf("%s step %d: selected vertices diverge: %v vs %v", v.name, i+1, got[i].activated, want[i].activated)
-			}
-			if fmt.Sprint(got[i].rules) != fmt.Sprint(want[i].rules) {
-				t.Fatalf("%s step %d: rules diverge: %v vs %v", v.name, i+1, got[i].rules, want[i].rules)
-			}
-			if got[i].rounds != want[i].rounds {
-				t.Fatalf("%s step %d: round counters diverge: %d vs %d", v.name, i+1, got[i].rounds, want[i].rounds)
-			}
-		}
-		if !e.Current().Equal(ref.Current()) {
-			t.Fatalf("%s: final configurations diverge", v.name)
-		}
-		if e.Steps() != ref.Steps() || e.Moves() != ref.Moves() || e.Rounds() != ref.Rounds() {
-			t.Fatalf("%s: counters diverge: steps %d/%d moves %d/%d rounds %d/%d", v.name,
-				e.Steps(), ref.Steps(), e.Moves(), ref.Moves(), e.Rounds(), ref.Rounds())
-		}
+		e.Close()
 	}
 }
 
 // runBackendMatrix exercises one protocol against the whole daemon matrix
-// across backends and worker counts.
-func runBackendMatrix[S comparable](t *testing.T, name string, p sim.Protocol[S], mustFlat bool, steps int) {
+// across engine variants.
+func runBackendMatrix[S comparable](t *testing.T, name string, p sim.Protocol[S], steps int) {
 	t.Helper()
-	if mustFlat && sim.FlatOf(p) == nil {
-		t.Fatalf("%s must provide sim.Flat", p.Name())
-	}
 	for dname, mk := range daemonMatrix(p) {
 		mk := mk
 		t.Run(name+"/"+dname, func(t *testing.T) {
@@ -264,34 +352,50 @@ func runBackendMatrix[S comparable](t *testing.T, name string, p sim.Protocol[S]
 	}
 }
 
-// TestDifferentialBackendsAndWorkers is the flat backend's soundness
-// gate: for every protocol, under every daemon family, the flat and
-// shard-parallel engines must replay the sequential generic engine's
-// execution bit for bit, for worker counts {1, 4, GOMAXPROCS}.
+// TestDifferentialBackendsAndWorkers is the engine's soundness gate: for
+// every protocol, under every daemon family, every worker/shard variant of
+// the packed engine, incremental and full-rescan, must replay the
+// reference stepper's execution bit for bit after every step.
 func TestDifferentialBackendsAndWorkers(t *testing.T) {
 	t.Parallel()
 
 	ring := graph.Ring(7)
 	grid := graph.Grid(3, 3)
 
-	runBackendMatrix[int](t, "dijkstra", dijkstra.MustNew(7, 7), true, 150)
-	runBackendMatrix[int](t, "bfstree", bfstree.MustNew(grid, 0), true, 150)
-	runBackendMatrix[matching.State](t, "matching", matching.New(graph.Petersen()), true, 150)
-	runBackendMatrix[int](t, "ssme", core.MustNew(ring), true, 150)
-	runBackendMatrix[int](t, "lexclusion", lexclusion.MustNew(grid, 2), true, 150)
+	runBackendMatrix[int](t, "dijkstra", dijkstra.MustNew(7, 7), 150)
+	runBackendMatrix[int](t, "bfstree", bfstree.MustNew(grid, 0), 150)
+	runBackendMatrix[matching.State](t, "matching", matching.New(graph.Petersen()), 150)
+	runBackendMatrix[int](t, "ssme", core.MustNew(ring), 150)
+	runBackendMatrix[int](t, "lexclusion", lexclusion.MustNew(grid, 2), 150)
 
 	uni, err := unison.New(ring, unison.MinimalParams(ring))
 	if err != nil {
 		t.Fatal(err)
 	}
-	runBackendMatrix[int](t, "unison", uni, true, 150)
+	runBackendMatrix[int](t, "unison", uni, 150)
 
 	uniGrid, err := unison.New(grid, unison.MinimalParams(grid))
 	if err != nil {
 		t.Fatal(err)
 	}
 	runBackendMatrix[compose.Pair[int, int]](t, "product",
-		compose.MustNew[int, int](uniGrid, bfstree.MustNew(grid, 4)), true, 120)
+		compose.MustNew[int, int](uniGrid, bfstree.MustNew(grid, 4)), 120)
+
+	// On the graphs above every dirty set reaches a quarter of the
+	// vertices, so refreshEnabled always rebuilds densely. These sizes keep
+	// a central step's dirty set below that, driving the sparse merge.
+	bigRing := graph.Ring(40)
+	bigGrid := graph.Grid(6, 6)
+	uniBig, err := unison.New(bigRing, unison.MinimalParams(bigRing))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runBackendMatrix[int](t, "dijkstra-sparse", dijkstra.MustNew(40, 40), 150)
+	runBackendMatrix[int](t, "ssme-sparse", core.MustNew(bigRing), 150)
+	runBackendMatrix[int](t, "unison-sparse", uniBig, 150)
+	runBackendMatrix[matching.State](t, "matching-sparse", matching.New(bigGrid), 150)
+	runBackendMatrix[compose.Pair[int, int]](t, "product-sparse",
+		compose.MustNew[int, int](uniBig, bfstree.MustNew(bigRing, 0)), 120)
 }
 
 // TestProductWithoutLocalFallsBack: a product with a non-Local component
@@ -303,19 +407,29 @@ func TestProductWithoutLocalFallsBack(t *testing.T) {
 	if sim.LocalOf[compose.Pair[int, int]](p) != nil {
 		t.Fatal("product of a non-Local component must not declare locality")
 	}
-	rng := rand.New(rand.NewSource(1))
-	e := sim.MustEngine[compose.Pair[int, int]](p, daemon.NewSynchronous[compose.Pair[int, int]](), sim.RandomConfig[compose.Pair[int, int]](p, rng), 1)
+	type pair = compose.Pair[int, int]
+	initial := sim.RandomConfig[pair](p, rand.New(rand.NewSource(1)))
+	e := sim.MustEngine[pair](p, daemon.NewSynchronous[pair](), initial, 1)
 	if e.Incremental() {
 		t.Fatal("engine must fall back to full rescans")
 	}
-	if _, err := e.Run(20, nil); err != nil {
-		t.Fatal(err)
-	}
+	lockstep(t, "product/rescan", e, newRefStepper[pair](p, daemon.NewSynchronous[pair](), initial, 1), 20)
 }
 
-// opaque wraps a protocol, hiding its Local declaration.
+// opaque wraps a protocol, hiding its Local declaration but forwarding
+// its flat codec and rule bound, so engines over it take the full-rescan
+// path.
 type opaque struct {
 	p sim.Protocol[int]
+}
+
+func (o opaque) Flat() (sim.Flat[int], bool) {
+	f := sim.FlatOf(o.p)
+	return f, f != nil
+}
+func (o opaque) MaxRule() sim.Rule {
+	r, _ := sim.MaxRuleOf(o.p)
+	return r
 }
 
 func (o opaque) Name() string                                          { return o.p.Name() }

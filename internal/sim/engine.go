@@ -50,7 +50,7 @@ type HookID int
 // initial configuration. It is deterministic: given the same protocol,
 // daemon, initial configuration and seed, it replays the same execution
 // (daemon randomness is drawn from the engine's seeded generator) — for
-// every backend, worker count and shard size.
+// every worker count and shard size.
 //
 // When the protocol declares its guard read-sets (the Local capability),
 // the engine maintains the enabled set incrementally: after each step only
@@ -59,15 +59,16 @@ type HookID int
 // are bitwise identical either way — the tracker is exact, not a heuristic
 // (the differential tests assert this across every protocol and daemon).
 //
-// When the protocol additionally provides the Flat capability (see
-// flat.go), the engine packs the configuration into a []int64 array and
-// evaluates guards and moves with batch kernels — no per-guard interface
-// dispatch, no per-step allocation. Each step is double-buffered: the
-// evaluate phase computes every next state from the frozen packed front
-// buffer (in parallel, contiguous shard by contiguous shard, when the
-// selection is large enough), and only after all shards join does the
-// commit phase merge the staged states back in shard order — which is why
-// executions stay bitwise identical to the sequential generic path.
+// The engine runs on the protocol's Flat capability (see flat.go), which
+// every protocol must provide: it packs the configuration into a []int64
+// array and evaluates guards and moves with batch kernels — no per-guard
+// interface dispatch, no per-step allocation. Each step is
+// double-buffered: the evaluate phase computes every next state from the
+// frozen packed front buffer (in parallel, contiguous shard by contiguous
+// shard, when the selection is large enough), and only after all shards
+// join does the commit phase merge the staged states back in shard order —
+// which is why executions are identical for every worker count and match
+// the sequential reference stepper of the differential tests.
 type Engine[S comparable] struct {
 	p   Protocol[S]
 	d   Daemon[S]
@@ -103,10 +104,9 @@ type Engine[S comparable] struct {
 	dirtyMark  []bool
 	enabledAlt []int // spare buffer the merge writes into
 
-	// Flat backend state (nil fl ⇒ generic backend). st is the packed
-	// front buffer — the source of truth; cfg is kept as a live decoded
-	// shadow (updated per move), so daemons, hooks and Current() observe
-	// exactly the values the generic backend would.
+	// Packed state. st is the front buffer — the source of truth; cfg is
+	// kept as a live decoded shadow (updated per move), so daemons, hooks
+	// and Current() observe the protocol's own state type.
 	fl       Flat[S]
 	w        int     // words per vertex
 	st       []int64 // packed configuration, vertex-major
@@ -155,27 +155,34 @@ type Engine[S comparable] struct {
 	enabled    []int
 	selected   []int
 	rules      []Rule
-	next       []S
 	dirtyRules []Rule
 	oneV       [1]int
 	oneR       [1]Rule
 }
 
 // NewEngine creates an engine executing p under d starting from initial,
-// with default Options (automatic backend selection, GOMAXPROCS shard
-// workers). The initial configuration is cloned; seed fixes all daemon
+// with default Options (GOMAXPROCS shard workers). p must provide the Flat
+// capability. The initial configuration is cloned; seed fixes all daemon
 // randomness. If p declares the Local capability the engine starts in
 // incremental mode; DisableIncremental reverts to full rescans.
 func NewEngine[S comparable](p Protocol[S], d Daemon[S], initial Config[S], seed int64) (*Engine[S], error) {
 	return NewEngineWith(p, d, initial, seed, Options{})
 }
 
-// NewEngineWith is NewEngine with explicit backend/parallelism Options.
+// NewEngineWith is NewEngine with explicit parallelism Options.
 // Executions are bitwise identical for every option choice; only the cost
 // of producing them changes.
 func NewEngineWith[S comparable](p Protocol[S], d Daemon[S], initial Config[S], seed int64, opts Options) (*Engine[S], error) {
 	if err := Validate(p, initial); err != nil {
 		return nil, err
+	}
+	fl := FlatOf(p)
+	if fl == nil {
+		return nil, fmt.Errorf("sim: %s does not provide the Flat capability, which the engine requires", p.Name())
+	}
+	w := fl.FlatWords()
+	if w < 1 {
+		return nil, fmt.Errorf("sim: %s flat codec declares %d words per vertex", p.Name(), w)
 	}
 	if opts.Workers < 0 {
 		return nil, fmt.Errorf("sim: Options.Workers is negative (%d); use 0 for the GOMAXPROCS default or 1 to disable parallelism", opts.Workers)
@@ -195,9 +202,14 @@ func NewEngineWith[S comparable](p Protocol[S], d Daemon[S], initial Config[S], 
 	if shardSize == 0 {
 		shardSize = DefaultShardSize
 	}
+	n := p.N()
 	e := &Engine[S]{
 		p:         p,
 		d:         d,
+		fl:        fl,
+		w:         w,
+		st:        make([]int64, n*w),
+		allVerts:  make([]int, n),
 		cfg:       initial.Clone(),
 		rng:       rand.New(rand.NewSource(seed)),
 		enabled:   make([]int, 0, p.N()),
@@ -223,39 +235,10 @@ func NewEngineWith[S comparable](p Protocol[S], d Daemon[S], initial Config[S], 
 			e.cleanup = runtime.AddCleanup(e, func(p *Pool) { p.Close() }, e.pool)
 		}
 	}
-	switch opts.Backend {
-	case BackendAuto:
-		e.fl = FlatOf(p)
-	case BackendFlat:
-		e.fl = FlatOf(p)
-		if e.fl == nil {
-			return nil, fmt.Errorf("sim: %s does not provide the Flat capability", p.Name())
-		}
-	case BackendGeneric:
-	default:
-		return nil, fmt.Errorf("sim: unknown backend %d", opts.Backend)
+	for v := range e.allVerts {
+		e.allVerts[v] = v
 	}
-	if e.fl != nil {
-		w := e.fl.FlatWords()
-		if w < 1 {
-			return nil, fmt.Errorf("sim: %s flat codec declares %d words per vertex", p.Name(), w)
-		}
-		e.w = w
-		n := p.N()
-		e.st = make([]int64, n*w)
-		for v := 0; v < n; v++ {
-			e.fl.EncodeState(v, e.cfg[v], e.st[v*w:(v+1)*w])
-		}
-		// Shadow = decode(encode(initial)), so the shadow invariant
-		// cfg[v] == DecodeState(v, st[v*w:]) holds from the first step.
-		for v := 0; v < n; v++ {
-			e.cfg[v] = e.fl.DecodeState(v, e.st[v*w:(v+1)*w])
-		}
-		e.allVerts = make([]int, n)
-		for v := range e.allVerts {
-			e.allVerts[v] = v
-		}
-	}
+	e.load()
 	if l := LocalOf(p); l != nil {
 		e.loc = l
 		e.influence = influenceSets(p.N(), l)
@@ -272,6 +255,21 @@ func NewEngineWith[S comparable](p Protocol[S], d Daemon[S], initial Config[S], 
 // configuration. Every later update is a dirty-set refresh.
 func (e *Engine[S]) seedEnabled() { e.refreshDense() }
 
+// load packs cfg into st and decodes it back into cfg, shard by shard, so
+// the shadow invariant cfg[v] == DecodeState(v, st[v*w:]) holds from the
+// first step and again after every SetConfig.
+func (e *Engine[S]) load() {
+	w := e.w
+	e.forShards(e.p.N(), func(_, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			e.fl.EncodeState(v, e.cfg[v], e.st[v*w:(v+1)*w])
+		}
+		for v := lo; v < hi; v++ {
+			e.cfg[v] = e.fl.DecodeState(v, e.st[v*w:(v+1)*w])
+		}
+	})
+}
+
 // refreshDense re-evaluates every guard with batch kernels and rebuilds
 // the enabled list — cheaper than dirty-set bookkeeping once a sizable
 // fraction of the vertices fired (the synchronous-daemon regime: no
@@ -283,21 +281,7 @@ func (e *Engine[S]) refreshDense() {
 	n := e.p.N()
 	e.guardEvals += int64(n)
 	e.collect = growSlice(e.enabledAlt, n)
-	var shards int
-	if e.fl != nil {
-		shards = e.forShards(n, e.refreshFlatFn)
-	} else {
-		shards = e.forShards(n, func(sh, lo, hi int) {
-			for v := lo; v < hi; v++ {
-				r, ok := e.p.EnabledRule(e.cfg, v)
-				if !ok {
-					r = NoRule
-				}
-				e.ruleOf[v] = r
-			}
-			e.collectRun(sh, lo, e.ruleOf[lo:hi])
-		})
-	}
+	shards := e.forShards(n, e.refreshFlatFn)
 	// Swap the maintained list with the spare buffer: the old backing array
 	// stays intact (as enabledAlt[:0]) until the next rebuild writes to
 	// it, which is what keeps a selection aliasing the old list — the fused
@@ -308,8 +292,8 @@ func (e *Engine[S]) refreshDense() {
 	e.enabled = out
 }
 
-// refreshFlatShard is refreshDense's flat-backend shard body: evaluate the
-// guards of [lo, hi) into ruleOf and collect the enabled ones.
+// refreshFlatShard is refreshDense's shard body: evaluate the guards of
+// [lo, hi) into ruleOf and collect the enabled ones.
 func (e *Engine[S]) refreshFlatShard(sh, lo, hi int) {
 	e.fl.EnabledRuleFlat(e.st, e.w, 0, e.allVerts[lo:hi], e.ruleOf[lo:hi])
 	e.collectRun(sh, lo, e.ruleOf[lo:hi])
@@ -351,35 +335,18 @@ func (e *Engine[S]) compactRuns(shards int) []int {
 	return e.collect[:at]
 }
 
-// evalGuard is a single-vertex EnabledRule with accounting, dispatched to
-// the active backend.
-func (e *Engine[S]) evalGuard(v int) (Rule, bool) {
-	e.guardEvals++
-	if e.fl != nil {
-		e.oneV[0] = v
-		e.fl.EnabledRuleFlat(e.st, e.w, 0, e.oneV[:], e.oneR[:])
-		return e.oneR[0], e.oneR[0] != NoRule
-	}
-	return e.p.EnabledRule(e.cfg, v)
-}
-
-// rescan recomputes the enabled list with a full guard sweep (the
-// non-incremental path, and the incremental seed). The flat backend
-// sweeps with sharded batch kernels.
+// rescan recomputes the enabled list with a full sweep of sharded batch
+// guard kernels — the non-incremental path.
 func (e *Engine[S]) rescan() []int {
 	n := e.p.N()
 	e.guardEvals += int64(n)
-	if e.fl != nil {
-		e.allRules = growSlice(e.allRules, n)
-		e.collect = growSlice(e.enabled, n)
-		shards := e.forShards(n, func(sh, lo, hi int) {
-			e.fl.EnabledRuleFlat(e.st, e.w, 0, e.allVerts[lo:hi], e.allRules[lo:hi])
-			e.collectRun(sh, lo, e.allRules[lo:hi])
-		})
-		e.enabled = e.compactRuns(shards)
-		return e.enabled
-	}
-	e.enabled = Enabled(e.p, e.cfg, e.enabled)
+	e.allRules = growSlice(e.allRules, n)
+	e.collect = growSlice(e.enabled, n)
+	shards := e.forShards(n, func(sh, lo, hi int) {
+		e.fl.EnabledRuleFlat(e.st, e.w, 0, e.allVerts[lo:hi], e.allRules[lo:hi])
+		e.collectRun(sh, lo, e.allRules[lo:hi])
+	})
+	e.enabled = e.compactRuns(shards)
 	return e.enabled
 }
 
@@ -428,8 +395,10 @@ func (e *Engine[S]) vertexEnabled(v int) bool {
 	if e.loc != nil {
 		return e.ruleOf[v] != NoRule
 	}
-	_, ok := e.evalGuard(v)
-	return ok
+	e.guardEvals++
+	e.oneV[0] = v
+	e.fl.EnabledRuleFlat(e.st, e.w, 0, e.oneV[:], e.oneR[:])
+	return e.oneR[0] != NoRule
 }
 
 // MustEngine is NewEngine for statically correct inputs; it panics on error.
@@ -446,16 +415,6 @@ func (e *Engine[S]) Protocol() Protocol[S] { return e.p }
 
 // Daemon returns the driving daemon.
 func (e *Engine[S]) Daemon() Daemon[S] { return e.d }
-
-// Backend reports the execution representation actually selected:
-// BackendFlat when the engine runs on packed state, BackendGeneric
-// otherwise (never BackendAuto).
-func (e *Engine[S]) Backend() Backend {
-	if e.fl != nil {
-		return BackendFlat
-	}
-	return BackendGeneric
-}
 
 // Workers returns the shard-worker bound of the parallel evaluate phase.
 func (e *Engine[S]) Workers() int { return e.workers }
@@ -476,10 +435,9 @@ func (e *Engine[S]) Close() {
 }
 
 // Current returns the live configuration. It is shared with the engine and
-// must be treated as read-only; use Snapshot for an owned copy. On the
-// flat backend this is the decoded shadow, updated in place every step, so
-// the returned slice stays live across steps exactly as on the generic
-// backend.
+// must be treated as read-only; use Snapshot for an owned copy. It is the
+// decoded shadow of the packed state, updated in place every step, so the
+// returned slice stays live across steps.
 func (e *Engine[S]) Current() Config[S] { return e.cfg }
 
 // Snapshot returns an independent copy of the current configuration.
@@ -573,25 +531,13 @@ func (e *Engine[S]) fireHooks(info StepInfo) {
 // enabled set, since a corruption invalidates the owed-vertex accounting
 // of the interrupted round. Deterministic: the replacement itself draws no
 // randomness, so executions remain a pure function of (protocol, daemon,
-// seed, injected configurations) for every backend and worker count.
+// seed, injected configurations) for every worker count.
 func (e *Engine[S]) SetConfig(c Config[S]) error {
 	if err := Validate(e.p, c); err != nil {
 		return err
 	}
 	copy(e.cfg, c)
-	if e.fl != nil {
-		w := e.w
-		e.forShards(e.p.N(), func(_, lo, hi int) {
-			for v := lo; v < hi; v++ {
-				e.fl.EncodeState(v, e.cfg[v], e.st[v*w:(v+1)*w])
-			}
-			// Shadow = decode(encode(·)), the invariant NewEngineWith
-			// establishes, restored for the injected states.
-			for v := lo; v < hi; v++ {
-				e.cfg[v] = e.fl.DecodeState(v, e.st[v*w:(v+1)*w])
-			}
-		})
-	}
+	e.load()
 	if e.loc != nil {
 		e.refreshDense()
 	}
@@ -649,28 +595,13 @@ func (e *Engine[S]) refreshEnabled(activated []int) {
 		sort.Ints(e.dirty)
 	}
 	e.guardEvals += int64(k)
-	if e.fl != nil {
-		e.dirtyRules = growSlice(e.dirtyRules, k)
-		e.forShards(k, func(_, lo, hi int) {
-			e.fl.EnabledRuleFlat(e.st, e.w, 0, e.dirty[lo:hi], e.dirtyRules[lo:hi])
-		})
-		for i, u := range e.dirty {
-			e.ruleOf[u] = e.dirtyRules[i]
-			e.dirtyMark[u] = false
-		}
-	} else {
-		e.forShards(k, func(_, lo, hi int) {
-			for _, u := range e.dirty[lo:hi] {
-				r, ok := e.p.EnabledRule(e.cfg, u)
-				if !ok {
-					r = NoRule
-				}
-				e.ruleOf[u] = r
-			}
-		})
-		for _, u := range e.dirty {
-			e.dirtyMark[u] = false
-		}
+	e.dirtyRules = growSlice(e.dirtyRules, k)
+	e.forShards(k, func(_, lo, hi int) {
+		e.fl.EnabledRuleFlat(e.st, e.w, 0, e.dirty[lo:hi], e.dirtyRules[lo:hi])
+	})
+	for i, u := range e.dirty {
+		e.ruleOf[u] = e.dirtyRules[i]
+		e.dirtyMark[u] = false
 	}
 	if dense {
 		out := e.enabledAlt[:0]
@@ -765,7 +696,7 @@ func (e *Engine[S]) Step() (bool, error) {
 // enabled list in place; any failure falls back to the general path, which
 // normalizes and handles every case.
 func (e *Engine[S]) fusedEligible(sel, enabled []int) bool {
-	return e.fl != nil && e.loc != nil &&
+	return e.loc != nil &&
 		len(sel) == len(enabled) && &sel[0] == &enabled[0] &&
 		4*len(sel) >= e.p.N() &&
 		sort.IntsAreSorted(sel)
@@ -857,11 +788,7 @@ func (e *Engine[S]) applyAllShard(_, lo, hi int) {
 func (e *Engine[S]) evalMoves() error {
 	k := len(e.selected)
 	e.rules = growSlice(e.rules, k)
-	if e.fl != nil {
-		e.nextW = growSlice(e.nextW, k*e.w)
-	} else {
-		e.next = growSlice(e.next, k)
-	}
+	e.nextW = growSlice(e.nextW, k*e.w)
 	if e.loc != nil {
 		for i, v := range e.selected {
 			r := e.ruleOf[v]
@@ -890,59 +817,36 @@ func (e *Engine[S]) evalMoves() error {
 func (e *Engine[S]) evalMoveRange(lo, hi int) error {
 	vs := e.selected[lo:hi]
 	rules := e.rules[lo:hi]
-	if e.fl != nil {
-		if e.loc == nil {
-			e.fl.EnabledRuleFlat(e.st, e.w, 0, vs, rules)
-			for i, r := range rules {
-				if r == NoRule {
-					return fmt.Errorf("%w: %s selected disabled vertex %d", ErrDaemonSelection, e.d.Name(), vs[i])
-				}
-			}
-		}
-		e.fl.ApplyFlat(e.st, e.w, 0, vs, rules, e.nextW[lo*e.w:hi*e.w], e.w, 0)
-		return nil
-	}
 	if e.loc == nil {
-		for i, v := range vs {
-			r, ok := e.p.EnabledRule(e.cfg, v)
-			if !ok {
-				return fmt.Errorf("%w: %s selected disabled vertex %d", ErrDaemonSelection, e.d.Name(), v)
+		e.fl.EnabledRuleFlat(e.st, e.w, 0, vs, rules)
+		for i, r := range rules {
+			if r == NoRule {
+				return fmt.Errorf("%w: %s selected disabled vertex %d", ErrDaemonSelection, e.d.Name(), vs[i])
 			}
-			rules[i] = r
 		}
 	}
-	for i, v := range vs {
-		e.next[lo+i] = e.p.Apply(e.cfg, v, rules[i])
-	}
+	e.fl.ApplyFlat(e.st, e.w, 0, vs, rules, e.nextW[lo*e.w:hi*e.w], e.w, 0)
 	return nil
 }
 
-// commitMoves merges the staged next states into the live configuration —
-// and, on the flat backend, refreshes the decoded shadow for the touched
-// vertices so cfg stays exactly decode(st). Writes are per-vertex disjoint,
-// so large commits shard across workers like the evaluate phase.
+// commitMoves merges the staged next words into the packed configuration
+// and refreshes the decoded shadow for the touched vertices, so cfg stays
+// exactly decode(st). Writes are per-vertex disjoint, so large commits
+// shard across workers like the evaluate phase.
 func (e *Engine[S]) commitMoves() {
-	if e.fl != nil {
-		w := e.w
-		e.forShards(len(e.selected), func(_, lo, hi int) {
-			if w == 1 {
-				for i := lo; i < hi; i++ {
-					e.st[e.selected[i]] = e.nextW[i]
-				}
-			} else {
-				for i := lo; i < hi; i++ {
-					v := e.selected[i]
-					copy(e.st[v*w:(v+1)*w], e.nextW[i*w:(i+1)*w])
-				}
-			}
-			e.fl.DecodeStates(e.st, w, 0, e.selected[lo:hi], e.cfg)
-		})
-		return
-	}
+	w := e.w
 	e.forShards(len(e.selected), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e.cfg[e.selected[i]] = e.next[i]
+		if w == 1 {
+			for i := lo; i < hi; i++ {
+				e.st[e.selected[i]] = e.nextW[i]
+			}
+		} else {
+			for i := lo; i < hi; i++ {
+				v := e.selected[i]
+				copy(e.st[v*w:(v+1)*w], e.nextW[i*w:(i+1)*w])
+			}
 		}
+		e.fl.DecodeStates(e.st, w, 0, e.selected[lo:hi], e.cfg)
 	})
 }
 

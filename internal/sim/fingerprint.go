@@ -6,7 +6,7 @@ import (
 )
 
 // Fingerprinting is the identity currency of the harness: differential
-// tests hash configurations to prove backend/worker invariance, and the
+// tests hash configurations to prove worker invariance, and the
 // campaign layer hashes resolved evaluation cells to key its resumable
 // checkpoint journal. Everything uses FNV-1a over a stable rendering, so
 // the same logical value fingerprints identically across processes and
@@ -29,7 +29,7 @@ func Fingerprint64(data []byte) uint64 {
 
 // FingerprintConfig hashes a configuration via its %v rendering — the
 // cross-construction identity the differential and invariance tests
-// compare across backends and worker counts. Integer-state
+// compare across worker counts and against the reference stepper. Integer-state
 // configurations (every flat-codec protocol, and the networked
 // runtime's per-round commit) take an fmt-free path that folds the
 // identical rendering into the hash byte by byte — no boxing, no

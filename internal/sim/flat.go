@@ -1,16 +1,16 @@
 package sim
 
-// The flat execution backend (DESIGN.md §6). The generic engine pays one
-// interface call per guard evaluation and one per move, over a boxed
-// Config[S] slice. At the scales the speculation experiments target
-// (rings of 10⁵–10⁶ vertices under the synchronous daemon) that dispatch
-// dominates the step loop. A protocol may therefore additionally provide
-// the Flat capability: a codec packing each vertex state into a fixed
-// number of int64 words plus *batch* guard/apply kernels operating
-// directly on the packed array — one interface call per vertex batch
-// instead of per vertex, no per-step allocation, and neighbor access via
-// compressed-sparse-row offsets (internal/graph.CSR) instead of nested
-// slices.
+// The flat execution representation (DESIGN.md §6), the only one the
+// Engine runs on. Interpreting Protocol directly costs one interface call
+// per guard evaluation and one per move, over a boxed Config[S] slice; at
+// the scales the speculation experiments target (rings of 10⁵–10⁶
+// vertices under the synchronous daemon) that dispatch would dominate the
+// step loop. Every protocol therefore provides the Flat capability: a
+// codec packing each vertex state into a fixed number of int64 words plus
+// *batch* guard/apply kernels operating directly on the packed array —
+// one interface call per vertex batch instead of per vertex, no per-step
+// allocation, and neighbor access via compressed-sparse-row offsets
+// (internal/graph.CSR) instead of nested slices.
 //
 // The packed configuration is laid out vertex-major: with stride words per
 // vertex, vertex v's record occupies st[v*stride+base : v*stride+base+W]
@@ -23,9 +23,10 @@ package sim
 // EnabledRuleFlat and ApplyFlat must agree exactly with EnabledRule and
 // Apply, and EncodeState/DecodeState must round-trip every state the
 // protocol can produce. The engine keeps the decoded Config[S] as a live
-// shadow (so daemons, hooks and Current() observe identical values either
-// way) and the differential tests drive both backends through every
-// protocol × daemon family, asserting bitwise identical executions.
+// shadow (daemons, hooks and Current() read it), and the differential
+// tests drive the engine against a sequential reference stepper that
+// interprets EnabledRule and Apply directly, through every protocol ×
+// daemon family, asserting bitwise identical executions.
 
 // Flat is the optional flat-execution capability of a Protocol.
 // Implementations must be pure and safe for concurrent callers: the
@@ -93,7 +94,7 @@ type flatProvider[S comparable] interface {
 }
 
 // FlatOf returns p's flat codec, or nil when p does not provide one (the
-// engine then runs the generic backend).
+// engine then refuses to run it).
 func FlatOf[S comparable](p Protocol[S]) Flat[S] {
 	if fp, ok := any(p).(flatProvider[S]); ok {
 		f, declared := fp.Flat()
@@ -132,34 +133,6 @@ func MaxRuleOf[S comparable](p Protocol[S]) (Rule, bool) {
 	return 0, false
 }
 
-// Backend selects the engine's execution representation.
-type Backend int
-
-const (
-	// BackendAuto picks BackendFlat when the protocol provides the Flat
-	// capability and BackendGeneric otherwise. The default.
-	BackendAuto Backend = iota
-	// BackendGeneric forces interface-dispatched execution over Config[S].
-	BackendGeneric
-	// BackendFlat forces packed execution; engine construction fails if
-	// the protocol does not provide Flat.
-	BackendFlat
-)
-
-// String renders the selector for reports and flags.
-func (b Backend) String() string {
-	switch b {
-	case BackendAuto:
-		return "auto"
-	case BackendGeneric:
-		return "generic"
-	case BackendFlat:
-		return "flat"
-	default:
-		return "backend(?)"
-	}
-}
-
 // DefaultShardSize is the minimum batch width per shard of the parallel
 // evaluate phase: selections (or dirty sets) smaller than this are
 // evaluated inline — spawning goroutines for a handful of guards costs
@@ -167,13 +140,10 @@ func (b Backend) String() string {
 const DefaultShardSize = 4096
 
 // Options configures engine construction beyond the mandatory arguments
-// of NewEngine. The zero value means: automatic backend selection,
-// GOMAXPROCS shard workers, DefaultShardSize shards, a privately owned
-// worker pool. Every option choice produces bitwise identical executions —
-// only throughput changes.
+// of NewEngine. The zero value means: GOMAXPROCS shard workers,
+// DefaultShardSize shards, a privately owned worker pool. Every option
+// choice produces bitwise identical executions — only throughput changes.
 type Options struct {
-	// Backend selects the execution representation (default BackendAuto).
-	Backend Backend
 	// Workers bounds the concurrency of the shard-parallel phases:
 	// 0 means runtime.GOMAXPROCS(0) (or the width of Pool when one is
 	// supplied), 1 disables parallelism entirely. Negative values are

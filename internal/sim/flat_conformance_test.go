@@ -14,7 +14,6 @@ import (
 	"specstab/internal/bfstree"
 	"specstab/internal/compose"
 	"specstab/internal/core"
-	"specstab/internal/daemon"
 	"specstab/internal/dijkstra"
 	"specstab/internal/graph"
 	"specstab/internal/lexclusion"
@@ -116,26 +115,18 @@ func TestFlatConformance(t *testing.T) {
 			bfstree.MustNew(grid, 5)))
 }
 
-// TestFlatOfAbsent: protocols without the capability must report nil and
-// engines must fall back to the generic backend (and BackendFlat must be
-// refused).
+// TestFlatOfAbsent: a protocol without the capability reports nil, and a
+// wrapper that forwards its component's codec reports that codec.
 func TestFlatOfAbsent(t *testing.T) {
 	t.Parallel()
-	g := graph.Ring(5)
-	p := opaque{bfstree.MustNew(g, 0)}
-	if sim.FlatOf[int](p) != nil {
-		t.Fatal("opaque wrapper must not provide Flat")
+	b := bfstree.MustNew(graph.Ring(5), 0)
+	if sim.FlatOf[int](noFlat{b}) != nil {
+		t.Fatal("noFlat wrapper must not provide Flat")
 	}
-	rng := rand.New(rand.NewSource(1))
-	initial := sim.RandomConfig[int](p, rng)
-	e, err := sim.NewEngineWith[int](p, daemon.NewSynchronous[int](), initial, 1, sim.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Backend() != sim.BackendGeneric {
-		t.Fatalf("backend = %v, want generic fallback", e.Backend())
-	}
-	if _, err := sim.NewEngineWith[int](p, daemon.NewSynchronous[int](), initial, 1, sim.Options{Backend: sim.BackendFlat}); err == nil {
-		t.Fatal("BackendFlat on a non-flat protocol must fail construction")
+	if sim.FlatOf[int](opaque{b}) == nil {
+		t.Fatal("opaque wrapper must forward its component's Flat")
 	}
 }
+
+// noFlat wraps a protocol, exposing only the Protocol methods.
+type noFlat struct{ sim.Protocol[int] }

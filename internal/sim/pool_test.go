@@ -53,8 +53,8 @@ func workerShardGrid() (workers, shardSizes []int) {
 	return []int{1, 2, 4, runtime.GOMAXPROCS(0)}, []int{1, 2, sim.DefaultShardSize}
 }
 
-// invarianceCheck drives a sequential generic reference and every
-// worker×shard flat variant from the same initial configuration and seed,
+// invarianceCheck drives the reference stepper and every worker×shard
+// engine variant from the same initial configuration and seed,
 // asserting identical fingerprints, counters, and — across the flat
 // variants — identical guard-evaluation accounting.
 func invarianceCheck(t *testing.T, p sim.Protocol[int], mkd func() sim.Daemon[int], seed int64, steps int) {
@@ -62,18 +62,23 @@ func invarianceCheck(t *testing.T, p sim.Protocol[int], mkd func() sim.Daemon[in
 	rng := rand.New(rand.NewSource(seed))
 	initial := sim.RandomConfig(p, rng)
 
-	ref, err := sim.NewEngineWith(p, mkd(), initial, seed, sim.Options{Backend: sim.BackendGeneric, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	ref := newRefStepper(p, mkd(), initial, seed)
+	for i := 0; i < steps; i++ {
+		_, progressed, err := ref.step()
+		if err != nil {
+			t.Fatalf("reference step %d: %v", i, err)
+		}
+		if !progressed {
+			break
+		}
 	}
-	drive(t, ref, steps)
-	wantFP := sim.FingerprintConfig(ref.Current())
+	wantFP := sim.FingerprintConfig(ref.cfg)
 
 	workers, shardSizes := workerShardGrid()
 	var guardEvals int64 = -1
 	for _, wk := range workers {
 		for _, ss := range shardSizes {
-			e, err := sim.NewEngineWith(p, mkd(), initial, seed, sim.Options{Backend: sim.BackendFlat, Workers: wk, ShardSize: ss})
+			e, err := sim.NewEngineWith(p, mkd(), initial, seed, sim.Options{Workers: wk, ShardSize: ss})
 			if err != nil {
 				t.Fatalf("workers=%d shard=%d: %v", wk, ss, err)
 			}
@@ -81,9 +86,9 @@ func invarianceCheck(t *testing.T, p sim.Protocol[int], mkd func() sim.Daemon[in
 			if fp := sim.FingerprintConfig(e.Current()); fp != wantFP {
 				t.Fatalf("workers=%d shard=%d: fingerprint %016x, want %016x", wk, ss, fp, wantFP)
 			}
-			if e.Steps() != ref.Steps() || e.Moves() != ref.Moves() || e.Rounds() != ref.Rounds() {
+			if e.Steps() != ref.steps || e.Moves() != ref.moves || e.Rounds() != ref.rounds {
 				t.Fatalf("workers=%d shard=%d: counters diverge: steps %d/%d moves %d/%d rounds %d/%d",
-					wk, ss, e.Steps(), ref.Steps(), e.Moves(), ref.Moves(), e.Rounds(), ref.Rounds())
+					wk, ss, e.Steps(), ref.steps, e.Moves(), ref.moves, e.Rounds(), ref.rounds)
 			}
 			if guardEvals < 0 {
 				guardEvals = e.GuardEvals()
@@ -140,11 +145,11 @@ func TestPoolReuseAcrossSetConfig(t *testing.T) {
 	initial := sim.RandomConfig(p, rng)
 	inject := sim.RandomConfig(p, rng)
 
-	ref, err := sim.NewEngineWith(p, daemon.NewSynchronous[int](), initial, 7, sim.Options{Backend: sim.BackendFlat, Workers: 1})
+	ref, err := sim.NewEngineWith(p, daemon.NewSynchronous[int](), initial, 7, sim.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := sim.NewEngineWith(p, daemon.NewSynchronous[int](), initial, 7, sim.Options{Backend: sim.BackendFlat, Workers: 4, ShardSize: 1})
+	par, err := sim.NewEngineWith(p, daemon.NewSynchronous[int](), initial, 7, sim.Options{Workers: 4, ShardSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +187,11 @@ func TestSharedPoolAcrossEngines(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		initial := sim.RandomConfig(p, rng)
 		s, err := sim.NewEngineWith(p, daemon.NewSynchronous[int](), initial, seed,
-			sim.Options{Backend: sim.BackendFlat, Workers: 4, ShardSize: 1, Pool: pool})
+			sim.Options{Workers: 4, ShardSize: 1, Pool: pool})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := sim.NewEngineWith(p, daemon.NewSynchronous[int](), initial, seed, sim.Options{Backend: sim.BackendFlat, Workers: 1})
+		r, err := sim.NewEngineWith(p, daemon.NewSynchronous[int](), initial, seed, sim.Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,11 +221,11 @@ func TestEngineCloseInlineFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	initial := sim.RandomConfig(p, rng)
 
-	ref, err := sim.NewEngineWith(p, daemon.NewSynchronous[int](), initial, 5, sim.Options{Backend: sim.BackendFlat, Workers: 1})
+	ref, err := sim.NewEngineWith(p, daemon.NewSynchronous[int](), initial, 5, sim.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := sim.NewEngineWith(p, daemon.NewSynchronous[int](), initial, 5, sim.Options{Backend: sim.BackendFlat, Workers: 4, ShardSize: 1})
+	e, err := sim.NewEngineWith(p, daemon.NewSynchronous[int](), initial, 5, sim.Options{Workers: 4, ShardSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

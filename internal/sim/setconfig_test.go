@@ -4,14 +4,13 @@ package sim_test
 // corrupts registers mid-execution through it). These tests pin its
 // contract: the injected configuration becomes the live one exactly, the
 // maintained enabled set matches a from-scratch recomputation, and the
-// continuation of the execution is bitwise identical across backends and
-// worker counts — SetConfig must not introduce any representation- or
+// continuation of the execution matches the reference stepper for every
+// worker count — SetConfig must not introduce any representation- or
 // timing-dependent divergence.
 
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"specstab/internal/core"
@@ -22,33 +21,40 @@ import (
 	"specstab/internal/sim"
 )
 
-// setConfigTrace runs: steps₁ transitions, inject cfg, steps₂ transitions,
-// and returns the full recorded trace plus the final configuration.
-func setConfigTrace[S comparable](t *testing.T, p sim.Protocol[S], opts sim.Options, initial, inject sim.Config[S], steps1, steps2 int) ([]stepRecord, sim.Config[S]) {
+// setConfigLockstep runs an engine with opts and the reference stepper
+// in lockstep: steps₁ transitions, inject the same configuration into
+// both, steps₂ transitions.
+func setConfigLockstep[S comparable](t *testing.T, name string, p sim.Protocol[S], opts sim.Options, rescan bool, initial, inject sim.Config[S], steps1, steps2 int) {
 	t.Helper()
 	e, err := sim.NewEngineWith(p, daemon.NewDistributed[S](0.5), initial, 7, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := trace(t, e, steps1)
+	defer e.Close()
+	if rescan {
+		e.DisableIncremental()
+	}
+	ref := newRefStepper(p, daemon.NewDistributed[S](0.5), initial, 7)
+	lockstep(t, name, e, ref, steps1)
 	if err := e.SetConfig(inject); err != nil {
 		t.Fatal(err)
 	}
+	ref.setConfig(inject)
 	// The injected configuration must be live immediately…
 	if !e.Current().Equal(inject) {
-		t.Fatal("SetConfig: current configuration is not the injected one")
+		t.Fatalf("%s: current configuration is not the injected one", name)
 	}
 	// …and the maintained enabled set must match a fresh recomputation.
 	want := sim.Enabled(p, e.Current(), nil)
 	if fmt.Sprint(e.Enabled()) != fmt.Sprint(want) {
-		t.Fatalf("SetConfig: enabled set %v, want %v", e.Enabled(), want)
+		t.Fatalf("%s: enabled set %v, want %v", name, e.Enabled(), want)
 	}
-	recs = append(recs, trace(t, e, steps2)...)
-	return recs, e.Snapshot()
+	lockstep(t, name, e, ref, steps2)
 }
 
-// TestSetConfigBackendsAgree: a mid-run injection must leave every
-// backend/worker variant replaying the same continuation bit for bit.
+// TestSetConfigBackendsAgree: after a mid-run injection every worker
+// variant, incremental and full-rescan, must keep replaying the reference
+// stepper's continuation bit for bit.
 func TestSetConfigBackendsAgree(t *testing.T) {
 	t.Parallel()
 	ring := graph.Ring(9)
@@ -56,28 +62,8 @@ func TestSetConfigBackendsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	initial := sim.RandomConfig[int](p, rng)
 	inject := faults.Corrupt[int](p, initial, 5, rng)
-
-	ref, refFinal := setConfigTrace[int](t, p, sim.Options{Backend: sim.BackendGeneric, Workers: 1}, initial, inject, 25, 60)
-	variants := []sim.Options{
-		{Backend: sim.BackendGeneric, Workers: 4, ShardSize: 2},
-		{Backend: sim.BackendFlat, Workers: 1},
-		{Backend: sim.BackendFlat, Workers: runtime.GOMAXPROCS(0), ShardSize: 2},
-	}
-	for i, opts := range variants {
-		got, final := setConfigTrace[int](t, p, opts, initial, inject, 25, 60)
-		if len(got) != len(ref) {
-			t.Fatalf("variant %d: execution lengths diverge: %d vs %d", i, len(got), len(ref))
-		}
-		for s := range ref {
-			if fmt.Sprint(got[s].activated) != fmt.Sprint(ref[s].activated) ||
-				fmt.Sprint(got[s].rules) != fmt.Sprint(ref[s].rules) ||
-				got[s].rounds != ref[s].rounds {
-				t.Fatalf("variant %d step %d diverges after SetConfig", i, s+1)
-			}
-		}
-		if !final.Equal(refFinal) {
-			t.Fatalf("variant %d: final configurations diverge", i)
-		}
+	for _, v := range engineMatrix() {
+		setConfigLockstep[int](t, v.name, p, v.opts, v.rescan, initial, inject, 25, 60)
 	}
 }
 

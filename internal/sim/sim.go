@@ -22,12 +22,13 @@
 // Protocols may additionally declare their guard read-sets (the Local
 // capability, DESIGN.md §6); the Engine then maintains the enabled set
 // incrementally — only activated vertices and their read-set closures are
-// re-evaluated after each step — without changing executions. They may
-// further provide a packed-state codec (the Flat capability, flat.go):
-// the Engine then runs on a []int64 array with batch guard/apply kernels
-// and a double-buffered, shard-parallel synchronous step — again without
-// changing executions (the differential tests assert bitwise identity
-// across backends and worker counts).
+// re-evaluated after each step — without changing executions. Every
+// protocol the Engine runs provides a packed-state codec (the Flat
+// capability, flat.go): the Engine runs on a []int64 array with batch
+// guard/apply kernels and a double-buffered, shard-parallel synchronous
+// step. The differential tests assert that its executions match, bit for
+// bit and for every worker count, a sequential reference stepper that
+// interprets the guarded rules directly.
 package sim
 
 import (

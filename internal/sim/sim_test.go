@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -13,6 +14,7 @@ import (
 // maxed) and has no neighbor dependence, which makes engine bookkeeping
 // easy to verify exactly.
 type counterProtocol struct {
+	IntWord
 	n     int
 	limit int
 }
@@ -39,7 +41,37 @@ func (p *counterProtocol) Apply(c Config[int], v int, r Rule) int {
 func (p *counterProtocol) RandomState(_ int, rng *rand.Rand) int { return rng.Intn(p.limit) }
 func (p *counterProtocol) RuleName(Rule) string                  { return "inc" }
 
-var _ Protocol[int] = (*counterProtocol)(nil)
+func (p *counterProtocol) EnabledRuleFlat(st []int64, stride, base int, vs []int, rules []Rule) {
+	for i, v := range vs {
+		rules[i] = NoRule
+		if st[v*stride+base] < int64(p.limit-1) {
+			rules[i] = ruleInc
+		}
+	}
+}
+
+func (p *counterProtocol) ApplyFlat(st []int64, stride, base int, vs []int, _ []Rule, out []int64, outStride, outBase int) {
+	for i, v := range vs {
+		out[i*outStride+outBase] = st[v*stride+base] + 1
+	}
+}
+
+var (
+	_ Protocol[int] = (*counterProtocol)(nil)
+	_ Flat[int]     = (*counterProtocol)(nil)
+)
+
+// noFlat hides every capability of the protocol it wraps.
+type noFlat struct{ Protocol[int] }
+
+func TestNewEngineRequiresFlat(t *testing.T) {
+	t.Parallel()
+	p := noFlat{&counterProtocol{n: 3, limit: 2}}
+	_, err := NewEngine[int](p, allEnabled{}, Config[int]{0, 0, 0}, 1)
+	if err == nil || !strings.Contains(err.Error(), p.Name()) || !strings.Contains(err.Error(), "Flat") {
+		t.Fatalf("want an error naming %q and the Flat capability, got %v", p.Name(), err)
+	}
+}
 
 // allEnabled is a synchronous daemon clone local to the tests (the real
 // implementations live in internal/daemon; sim must not import it).
@@ -181,7 +213,10 @@ func TestSynchronousSemanticsReadPreState(t *testing.T) {
 	}
 }
 
-type copyLeft struct{ n int }
+type copyLeft struct {
+	IntWord
+	n int
+}
 
 func (p *copyLeft) Name() string { return "copy-left" }
 func (p *copyLeft) N() int       { return p.n }
@@ -194,6 +229,21 @@ func (p *copyLeft) EnabledRule(c Config[int], v int) (Rule, bool) {
 func (p *copyLeft) Apply(c Config[int], v int, _ Rule) int { return c[v-1] }
 func (p *copyLeft) RandomState(_ int, rng *rand.Rand) int  { return rng.Intn(2) }
 func (p *copyLeft) RuleName(Rule) string                   { return "copy" }
+
+func (p *copyLeft) EnabledRuleFlat(st []int64, stride, base int, vs []int, rules []Rule) {
+	for i, v := range vs {
+		rules[i] = NoRule
+		if v > 0 && st[v*stride+base] != st[(v-1)*stride+base] {
+			rules[i] = ruleInc
+		}
+	}
+}
+
+func (p *copyLeft) ApplyFlat(st []int64, stride, base int, vs []int, _ []Rule, out []int64, outStride, outBase int) {
+	for i, v := range vs {
+		out[i*outStride+outBase] = st[(v-1)*stride+base]
+	}
+}
 
 func TestMeasureConvergence(t *testing.T) {
 	t.Parallel()

@@ -2,7 +2,7 @@ package telemetry_test
 
 // The determinism differential: the same scenario executed with telemetry
 // attached (hub + engine/service pumps + JSONL sink) and absent must
-// fingerprint bitwise identically, across backends and worker counts —
+// fingerprint bitwise identically, across worker counts —
 // the contract that lets -telemetry be flipped on any production run
 // without changing what the run computes (DESIGN.md §12). This lives in
 // an external test package so it can drive internal/scenario (which
@@ -20,13 +20,13 @@ import (
 // stormScenario is a full-depth run: lock service under a fault storm,
 // exercising the engine pump, the service pump (cheap and heavy strides)
 // and the storm recovery publisher.
-func stormScenario(backend string, workers int) *scenario.Scenario {
+func stormScenario(workers int) *scenario.Scenario {
 	return &scenario.Scenario{
 		Name:     "telemetry-differential",
 		Seed:     7,
 		Protocol: scenario.ProtocolSpec{Name: "ssme"},
 		Topology: scenario.TopologySpec{Name: "ring", N: 24},
-		Engine:   scenario.EngineSpec{Backend: backend, Workers: workers},
+		Engine:   scenario.EngineSpec{Workers: workers},
 		Workload: &scenario.WorkloadSpec{Kind: "closed", Clients: 48, ThinkMax: 3},
 		Storm:    &scenario.StormSpec{Bursts: 2, Corrupt: 12},
 		Stop:     scenario.StopSpec{Ticks: 600},
@@ -55,25 +55,23 @@ func execute(t *testing.T, sc *scenario.Scenario, hub *telemetry.Hub) (uint64, u
 }
 
 func TestTelemetryDoesNotPerturbExecutions(t *testing.T) {
-	baseProto, baseSvc := execute(t, stormScenario("generic", 1), nil)
-	for _, backend := range []string{"generic", "flat"} {
-		for _, workers := range []int{1, 8} {
-			for _, on := range []bool{false, true} {
-				var hub *telemetry.Hub
-				if on {
-					hub = telemetry.New()
-				}
-				proto, svc := execute(t, stormScenario(backend, workers), hub)
-				if proto != baseProto || svc != baseSvc {
-					t.Errorf("backend=%s workers=%d telemetry=%v: fingerprints (%#x, %#x) diverge from baseline (%#x, %#x)",
-						backend, workers, on, proto, svc, baseProto, baseSvc)
-				}
-				if on {
-					snap := hub.Gather()
-					if len(snap.Series) == 0 || snap.Events == 0 {
-						t.Errorf("backend=%s workers=%d: telemetry hub stayed empty (%d series, %d events)",
-							backend, workers, len(snap.Series), snap.Events)
-					}
+	baseProto, baseSvc := execute(t, stormScenario(1), nil)
+	for _, workers := range []int{1, 8} {
+		for _, on := range []bool{false, true} {
+			var hub *telemetry.Hub
+			if on {
+				hub = telemetry.New()
+			}
+			proto, svc := execute(t, stormScenario(workers), hub)
+			if proto != baseProto || svc != baseSvc {
+				t.Errorf("workers=%d telemetry=%v: fingerprints (%#x, %#x) diverge from baseline (%#x, %#x)",
+					workers, on, proto, svc, baseProto, baseSvc)
+			}
+			if on {
+				snap := hub.Gather()
+				if len(snap.Series) == 0 || snap.Events == 0 {
+					t.Errorf("workers=%d: telemetry hub stayed empty (%d series, %d events)",
+						workers, len(snap.Series), snap.Events)
 				}
 			}
 		}
@@ -82,25 +80,23 @@ func TestTelemetryDoesNotPerturbExecutions(t *testing.T) {
 
 // TestTelemetrySeriesDeterministic pins the stronger property the hub's
 // design gives for free: not just that telemetry never perturbs the run,
-// but that the collected series themselves are identical across backends
-// and worker counts (wall time never enters the hub).
+// but that the collected series themselves are identical across worker
+// counts (wall time never enters the hub).
 func TestTelemetrySeriesDeterministic(t *testing.T) {
-	render := func(backend string, workers int) string {
+	render := func(workers int) string {
 		hub := telemetry.New()
-		execute(t, stormScenario(backend, workers), hub)
+		execute(t, stormScenario(workers), hub)
 		var b strings.Builder
 		if err := hub.Gather().WritePrometheus(&b); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
 	}
-	base := render("generic", 1)
-	for _, backend := range []string{"generic", "flat"} {
-		for _, workers := range []int{1, 8} {
-			if got := render(backend, workers); got != base {
-				t.Errorf("backend=%s workers=%d: series diverge from generic/1:\n--- got ---\n%s--- want ---\n%s",
-					backend, workers, got, base)
-			}
+	base := render(1)
+	for _, workers := range []int{2, 8} {
+		if got := render(workers); got != base {
+			t.Errorf("workers=%d: series diverge from workers=1:\n--- got ---\n%s--- want ---\n%s",
+				workers, got, base)
 		}
 	}
 }
@@ -109,7 +105,7 @@ func TestTelemetrySeriesDeterministic(t *testing.T) {
 // the telemetry observer without an injected hub runs against a detached
 // hub reachable through the observer.
 func TestDetachedHubObserver(t *testing.T) {
-	sc := stormScenario("auto", 0)
+	sc := stormScenario(0)
 	sc.Observers = []scenario.ObserverSpec{{Name: "telemetry"}}
 	r, err := scenario.Build(sc)
 	if err != nil {

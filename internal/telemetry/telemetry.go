@@ -16,8 +16,8 @@
 // time enters exactly once, at the JSONL sink boundary, and goroutines
 // exist exactly once, in the HTTP exporter; both files are allowlisted in
 // internal/lint/policy.go. A run therefore fingerprints bitwise
-// identically with telemetry attached or absent, across backends and
-// worker counts — pinned by this package's differential test.
+// identically with telemetry attached or absent, across worker counts —
+// pinned by this package's differential test.
 //
 // The Hub itself is a mutex-guarded last-value store: the deterministic
 // side overwrites series in tick time, the exporter goroutine reads
