@@ -37,7 +37,14 @@ func (Synchronous[S]) Select(_ sim.Config[S], enabled []int, _ *rand.Rand) []int
 	return enabled
 }
 
-var _ sim.Daemon[int] = Synchronous[int]{}
+// FiresAllEnabled implements sim.FiresAll: the engine fires the enabled
+// list without calling Select.
+func (Synchronous[S]) FiresAllEnabled() bool { return true }
+
+var (
+	_ sim.Daemon[int] = Synchronous[int]{}
+	_ sim.FiresAll    = Synchronous[int]{}
+)
 
 // Chooser picks one vertex index out of a non-empty enabled list for a
 // central daemon.

@@ -398,6 +398,64 @@ func TestDifferentialBackendsAndWorkers(t *testing.T) {
 		compose.MustNew[int, int](uniBig, bfstree.MustNew(bigRing, 0)), 120)
 }
 
+// TestDifferentialLeaveFullFiring: while every vertex is enabled the engine
+// keeps allVerts itself as its enabled list and as the round's owed list.
+// These rows leave that state for a sparse regime by each route — sd then
+// SetConfig, sd then DisableIncremental and SetConfig, a central daemon
+// settling a fully owed round — and must match the reference step by
+// step, so no rebuild or settlement ever writes into allVerts.
+func TestDifferentialLeaveFullFiring(t *testing.T) {
+	t.Parallel()
+	const n = 40
+	g := graph.Ring(n)
+	p, err := unison.New(g, unison.MinimalParams(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	uniform := make(sim.Config[int], n) // every vertex enabled, at every sd step
+	// A staircase 0,1,…,n/2,…,1 has one local minimum: one vertex enabled.
+	stair := make(sim.Config[int], n)
+	for v := range stair {
+		stair[v] = min(v, n-v)
+	}
+	if k := len(sim.Enabled[int](p, stair, nil)); 4*k >= n {
+		t.Fatalf("staircase has %d of %d vertices enabled; the rows need a sparse regime", k, n)
+	}
+	rows := []struct {
+		name    string
+		mk      func() sim.Daemon[int]
+		disable bool
+	}{
+		{"sd/set-config", func() sim.Daemon[int] { return daemon.NewSynchronous[int]() }, false},
+		{"sd/disable-incremental", func() sim.Daemon[int] { return daemon.NewSynchronous[int]() }, true},
+		{"central/set-config", func() sim.Daemon[int] { return daemon.NewRandomCentral[int]() }, false},
+	}
+	for _, row := range rows {
+		for _, v := range engineMatrix() {
+			name := row.name + "/" + v.name
+			e, err := sim.NewEngineWith[int](p, row.mk(), uniform, 1, v.opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if v.rescan {
+				e.DisableIncremental()
+			}
+			ref := newRefStepper[int](p, row.mk(), uniform, 1)
+			lockstep(t, name, e, ref, 8)
+			if row.disable {
+				e.DisableIncremental()
+				lockstep(t, name, e, ref, 4)
+			}
+			if err := e.SetConfig(stair); err != nil {
+				t.Fatal(err)
+			}
+			ref.setConfig(stair)
+			lockstep(t, name, e, ref, 60)
+			e.Close()
+		}
+	}
+}
+
 // TestProductWithoutLocalFallsBack: a product with a non-Local component
 // must not claim locality, and the engine must fall back to full rescans.
 func TestProductWithoutLocalFallsBack(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 )
 
@@ -36,11 +37,12 @@ func (i StepInfo) Clone() StepInfo {
 //
 // Aliasing contract: the Activated and Rules slices are owned by the
 // engine and reused between steps — they are valid only for the duration
-// of the hook invocation. A hook that retains the info (step logs,
-// deferred analysis) must take StepInfo.Clone; a hook that only reads the
-// slices inside its body needs no copy. Hooks run synchronously on the
-// engine's step path after the state commit, so they observe the
-// post-step configuration via Current().
+// of the hook invocation, and are read-only. A hook that retains the info
+// (step logs, deferred analysis) must take StepInfo.Clone; a hook that
+// only reads the slices inside its body needs no copy. Hooks run
+// synchronously on the engine's step path after the state commit, so they
+// observe the post-step configuration by calling Current() — in the hook,
+// not before the step (see Current).
 type Hook func(StepInfo)
 
 // HookID identifies a hook installed with AddHook, for RemoveHook.
@@ -69,6 +71,10 @@ type HookID int
 // join does the commit phase merge the staged states back in shard order —
 // which is why executions are identical for every worker count and match
 // the sequential reference stepper of the differential tests.
+//
+// The decoded Config[S] that Current returns is a shadow of the packed
+// state, brought up to date when it is read: the dense synchronous step
+// only marks it stale, so an execution nobody observes never decodes it.
 type Engine[S comparable] struct {
 	p   Protocol[S]
 	d   Daemon[S]
@@ -88,32 +94,38 @@ type Engine[S comparable] struct {
 	// self-stabilization literature. owedList holds, in increasing order,
 	// the vertices from the current round's start not yet discharged;
 	// settlement is a sorted merge against the activated list, so it
-	// costs O(|owed| + Δ) per step with no mark arrays to clear.
+	// costs O(|owed| + Δ) per step with no mark arrays to clear. A round
+	// that starts with every vertex enabled owes allVerts itself (no
+	// copy); settlement then compacts into owedBuf, never into allVerts.
 	rounds   int
 	owedList []int
+	owedBuf  []int
 
 	// Incremental enabled-set maintenance (nil/empty without Local):
 	// influence[v] is {v} ∪ {u : v ∈ Neighbors(u)}, ruleOf mirrors the
 	// maintained enabled list (NoRule = disabled; otherwise the enabled
 	// rule, so steps need no guard re-evaluation at all), dirty/dirtyMark
 	// are per-step scratch.
-	loc        Local
-	influence  [][]int
-	ruleOf     []Rule
-	dirty      []int
-	dirtyMark  []bool
-	enabledAlt []int // spare buffer the merge writes into
+	loc       Local
+	influence [][]int
+	ruleOf    []Rule
+	dirty     []int
+	dirtyMark []bool
 
 	// Packed state. st is the front buffer — the source of truth; cfg is
-	// kept as a live decoded shadow (updated per move), so daemons, hooks
-	// and Current() observe the protocol's own state type.
+	// its decoded shadow, so daemons, hooks and Current() observe the
+	// protocol's own state type. The general path decodes the moved
+	// vertices at commit; the fused step leaves the whole shadow stale
+	// and Current decodes it on the next read.
 	fl       Flat[S]
 	w        int     // words per vertex
 	st       []int64 // packed configuration, vertex-major
 	nextW    []int64 // staged next words, indexed by selection position
 	stNext   []int64 // back buffer of the fused synchronous step (swapped, not copied)
-	allVerts []int   // identity list for batch rescans
+	allVerts []int   // identity list: batch rescans, and the enabled list when all n are enabled
 	allRules []Rule  // rescan scratch
+	stale    bool    // cfg lags st; Current decodes it
+	sd       bool    // the daemon declares FiresAll: Select is never called
 
 	// Shard-parallel phases (see forShards): workers bounds the fan-out,
 	// shardSize the minimum batch per shard, shardErrs the per-shard error
@@ -151,8 +163,14 @@ type Engine[S comparable] struct {
 	// performs internally are not included.
 	guardEvals int64
 
-	// Scratch buffers reused across steps.
+	// The enabled list is allVerts when every vertex is enabled, otherwise
+	// a prefix of enabledOwn. Rebuilds write only into enabledAlt, which
+	// never aliases the current list or allVerts (see installEnabled).
 	enabled    []int
+	enabledOwn []int
+	enabledAlt []int
+
+	// Scratch buffers reused across steps.
 	selected   []int
 	rules      []Rule
 	dirtyRules []Rule
@@ -204,19 +222,20 @@ func NewEngineWith[S comparable](p Protocol[S], d Daemon[S], initial Config[S], 
 	}
 	n := p.N()
 	e := &Engine[S]{
-		p:         p,
-		d:         d,
-		fl:        fl,
-		w:         w,
-		st:        make([]int64, n*w),
-		allVerts:  make([]int, n),
-		cfg:       initial.Clone(),
-		rng:       rand.New(rand.NewSource(seed)),
-		enabled:   make([]int, 0, p.N()),
-		workers:   workers,
-		shardSize: shardSize,
-		shardErrs: make([]error, workers),
-		runs:      make([]enabledRun, workers),
+		p:          p,
+		d:          d,
+		fl:         fl,
+		w:          w,
+		st:         make([]int64, n*w),
+		allVerts:   make([]int, n),
+		cfg:        initial.Clone(),
+		rng:        rand.New(rand.NewSource(seed)),
+		enabledOwn: make([]int, 0, n),
+		sd:         firesAll(d),
+		workers:    workers,
+		shardSize:  shardSize,
+		shardErrs:  make([]error, workers),
+		runs:       make([]enabledRun, workers),
 	}
 	e.runJob = e.runShardJob
 	e.applyAllFn = e.applyAllShard
@@ -268,6 +287,7 @@ func (e *Engine[S]) load() {
 			e.cfg[v] = e.fl.DecodeState(v, e.st[v*w:(v+1)*w])
 		}
 	})
+	e.stale = false
 }
 
 // refreshDense re-evaluates every guard with batch kernels and rebuilds
@@ -280,15 +300,25 @@ func (e *Engine[S]) load() {
 func (e *Engine[S]) refreshDense() {
 	n := e.p.N()
 	e.guardEvals += int64(n)
-	e.collect = growSlice(e.enabledAlt, n)
+	e.enabledAlt = growSlice(e.enabledAlt, n)
+	e.collect = e.enabledAlt
 	shards := e.forShards(n, e.refreshFlatFn)
-	// Swap the maintained list with the spare buffer: the old backing array
-	// stays intact (as enabledAlt[:0]) until the next rebuild writes to
-	// it, which is what keeps a selection aliasing the old list — the fused
-	// synchronous step's activated slice — valid through round settlement
-	// and the hook pipeline.
-	out := e.compactRuns(shards)
-	e.enabledAlt = e.enabled[:0]
+	e.installEnabled(e.compactRuns(shards))
+}
+
+// installEnabled makes out, a list just built in enabledAlt (or allVerts),
+// the maintained enabled list. A full list is replaced by allVerts, which
+// is never written. Otherwise the spare and owned buffers trade places:
+// the previous list's backing array becomes the spare and stays intact
+// until the next rebuild writes to it, which is what keeps a selection
+// aliasing the previous list — the fused synchronous step's activated
+// slice — valid through round settlement and the hook pipeline.
+func (e *Engine[S]) installEnabled(out []int) {
+	if len(out) == len(e.allVerts) {
+		e.enabled = e.allVerts
+		return
+	}
+	e.enabledAlt, e.enabledOwn = e.enabledOwn, out[:0]
 	e.enabled = out
 }
 
@@ -299,15 +329,25 @@ func (e *Engine[S]) refreshFlatShard(sh, lo, hi int) {
 	e.collectRun(sh, lo, e.ruleOf[lo:hi])
 }
 
-// enabledRun is one shard's slice of a rebuilt enabled list: n vertices
-// written at collect[lo:lo+n].
-type enabledRun struct{ lo, n int }
+// enabledRun is one shard's slice of a rebuilt enabled list: n of the
+// shard's vertices enabled, written at collect[lo:lo+n] — or, when full,
+// all of them and not written at all (they are allVerts[lo:lo+n]).
+type enabledRun struct {
+	lo, n int
+	full  bool
+}
 
-// collectRun writes the vertices lo+i with a set rule ruleOf[i], in
-// increasing order, to the front of the shard's own range collect[lo:]
-// and records the run. The store is unconditional and only the cursor
-// advances on a set rule, so the loop has no data-dependent branch.
+// collectRun records the shard's run of enabled vertices: when every
+// ruleOf[i] is set the run is full and nothing is written; otherwise the
+// vertices lo+i with a set rule are written in increasing order to the
+// front of the shard's own range collect[lo:]. The store is unconditional
+// and only the cursor advances on a set rule, so the loop has no
+// data-dependent branch.
 func (e *Engine[S]) collectRun(sh, lo int, ruleOf []Rule) {
+	if !slices.Contains(ruleOf, NoRule) {
+		e.runs[sh] = enabledRun{lo: lo, n: len(ruleOf), full: true}
+		return
+	}
 	out := e.collect[lo : lo+len(ruleOf)]
 	k := 0
 	for i, r := range ruleOf {
@@ -319,15 +359,25 @@ func (e *Engine[S]) collectRun(sh, lo int, ruleOf []Rule) {
 	e.runs[sh] = enabledRun{lo: lo, n: k}
 }
 
-// compactRuns slides the first shards runs together in shard order and
-// returns the rebuilt list. It runs inline, after the epoch. A run whose
-// predecessors were all fully enabled is already in place and is not
-// moved, so the synchronous steady state rebuilds its list without
-// copying a word.
+// compactRuns joins the first shards runs in shard order and returns the
+// rebuilt list. It runs inline, after the epoch. When every run is full
+// the list is allVerts and nothing is written — the synchronous steady
+// state. Otherwise a full run is copied from allVerts and a partial run
+// is slid into place unless its predecessors were all full.
 func (e *Engine[S]) compactRuns(shards int) []int {
+	total := 0
+	for _, r := range e.runs[:shards] {
+		total += r.n
+	}
+	if total == len(e.allVerts) {
+		return e.allVerts
+	}
 	at := 0
 	for _, r := range e.runs[:shards] {
-		if at != r.lo {
+		switch {
+		case r.full:
+			copy(e.collect[at:], e.allVerts[r.lo:r.lo+r.n])
+		case at != r.lo:
 			copy(e.collect[at:], e.collect[r.lo:r.lo+r.n])
 		}
 		at += r.n
@@ -336,12 +386,15 @@ func (e *Engine[S]) compactRuns(shards int) []int {
 }
 
 // rescan recomputes the enabled list with a full sweep of sharded batch
-// guard kernels — the non-incremental path.
+// guard kernels — the non-incremental path. It rebuilds into enabledOwn:
+// no selection outlives a rescan, so the current list may be overwritten,
+// but allVerts may not.
 func (e *Engine[S]) rescan() []int {
 	n := e.p.N()
 	e.guardEvals += int64(n)
 	e.allRules = growSlice(e.allRules, n)
-	e.collect = growSlice(e.enabled, n)
+	e.enabledOwn = growSlice(e.enabledOwn, n)
+	e.collect = e.enabledOwn
 	shards := e.forShards(n, func(sh, lo, hi int) {
 		e.fl.EnabledRuleFlat(e.st, e.w, 0, e.allVerts[lo:hi], e.allRules[lo:hi])
 		e.collectRun(sh, lo, e.allRules[lo:hi])
@@ -350,25 +403,33 @@ func (e *Engine[S]) rescan() []int {
 	return e.enabled
 }
 
-// startRound charges the current enabled set to the new round.
+// startRound charges the current enabled set to the new round. A fully
+// enabled configuration owes allVerts itself.
 func (e *Engine[S]) startRound() {
-	e.owedList = append(e.owedList[:0], e.Enabled()...)
+	enabled := e.Enabled()
+	if len(enabled) == len(e.allVerts) {
+		e.owedList = e.allVerts
+		return
+	}
+	e.owedBuf = append(e.owedBuf[:0], enabled...)
+	e.owedList = e.owedBuf
 }
 
 // settleRound discharges owed vertices after a step: a vertex is settled
 // once it has been activated or is observed disabled. When all are
 // settled, a round completes and the next one is charged. Both lists are
-// sorted, so one merge pass compacts the owed list in place. A selection
-// is a subset of the enabled vertices, so when all n fired every owed
-// vertex is discharged by firing and the merge is skipped — the steady
-// state of a synchronous execution.
+// sorted, so one merge pass compacts the owed list into owedBuf (in place
+// unless the round owes allVerts). A selection is a subset of the enabled
+// vertices, so when all n fired every owed vertex is discharged by firing
+// and the merge is skipped — the steady state of a synchronous execution.
 func (e *Engine[S]) settleRound(activated []int) {
 	if len(activated) == e.p.N() {
 		e.rounds++
 		e.startRound()
 		return
 	}
-	w, j := 0, 0
+	out := e.owedBuf[:0]
+	j := 0
 	for _, v := range e.owedList {
 		for j < len(activated) && activated[j] < v {
 			j++
@@ -379,11 +440,11 @@ func (e *Engine[S]) settleRound(activated []int) {
 		if !e.vertexEnabled(v) {
 			continue // observed disabled
 		}
-		e.owedList[w] = v
-		w++
+		out = append(out, v)
 	}
-	e.owedList = e.owedList[:w]
-	if w == 0 {
+	e.owedBuf = out
+	e.owedList = out
+	if len(out) == 0 {
 		e.rounds++
 		e.startRound()
 	}
@@ -436,12 +497,20 @@ func (e *Engine[S]) Close() {
 
 // Current returns the live configuration. It is shared with the engine and
 // must be treated as read-only; use Snapshot for an owned copy. It is the
-// decoded shadow of the packed state, updated in place every step, so the
-// returned slice stays live across steps.
-func (e *Engine[S]) Current() Config[S] { return e.cfg }
+// decoded shadow of the packed state, and its contents are valid until the
+// next Step: the dense synchronous step leaves the shadow stale, and the
+// next Current decodes all n states in one pass (allocation-free). Call
+// Current again after stepping rather than keeping the slice.
+func (e *Engine[S]) Current() Config[S] {
+	if e.stale {
+		e.fl.DecodeStates(e.st, e.w, 0, e.allVerts, e.cfg)
+		e.stale = false
+	}
+	return e.cfg
+}
 
 // Snapshot returns an independent copy of the current configuration.
-func (e *Engine[S]) Snapshot() Config[S] { return e.cfg.Clone() }
+func (e *Engine[S]) Snapshot() Config[S] { return e.Current().Clone() }
 
 // Steps returns the number of transitions executed so far.
 func (e *Engine[S]) Steps() int { return e.steps }
@@ -546,9 +615,10 @@ func (e *Engine[S]) SetConfig(c Config[S]) error {
 }
 
 // Enabled returns the enabled vertices of the current configuration, in
-// increasing order; the slice is owned by the engine. In incremental mode
-// this is the maintained set (no guard evaluations); otherwise it is
-// recomputed with a full sweep.
+// increasing order; the slice is owned by the engine and read-only (it is
+// the engine's identity list when every vertex is enabled). In
+// incremental mode this is the maintained set (no guard evaluations);
+// otherwise it is recomputed with a full sweep.
 func (e *Engine[S]) Enabled() []int {
 	if e.loc != nil {
 		return e.enabled
@@ -610,8 +680,7 @@ func (e *Engine[S]) refreshEnabled(activated []int) {
 				out = append(out, v)
 			}
 		}
-		e.enabledAlt = e.enabled[:0]
-		e.enabled = out
+		e.installEnabled(out)
 		return
 	}
 	// Merge: keep non-dirty entries of the old enabled list, splice dirty
@@ -634,8 +703,7 @@ func (e *Engine[S]) refreshEnabled(activated []int) {
 			j++
 		}
 	}
-	e.enabledAlt = e.enabled[:0]
-	e.enabled = out
+	e.installEnabled(out)
 }
 
 // ErrDaemonSelection reports a daemon returning an empty or invalid
@@ -657,12 +725,20 @@ func (e *Engine[S]) Step() (bool, error) {
 	if len(enabled) == 0 {
 		return false, nil
 	}
-	sel := e.d.Select(e.cfg, enabled, e.rng)
-	if len(sel) == 0 {
-		return false, fmt.Errorf("%w: empty selection by %s", ErrDaemonSelection, e.d.Name())
+	// An sd daemon fires the enabled list without being asked. A dense
+	// front with incremental tracking takes the fused path — the regime
+	// where the general path would rebuild the enabled list with
+	// refreshDense anyway; sparse fronts stay on the general path, whose
+	// dirty-set merge beats a full rescan there.
+	if e.sd && e.loc != nil && 4*len(enabled) >= e.p.N() {
+		return e.stepFused(enabled)
 	}
-	if e.fusedEligible(sel, enabled) {
-		return e.stepFused(sel)
+	sel := enabled
+	if !e.sd {
+		sel = e.d.Select(e.Current(), enabled, e.rng)
+		if len(sel) == 0 {
+			return false, fmt.Errorf("%w: empty selection by %s", ErrDaemonSelection, e.d.Name())
+		}
 	}
 	e.selected = append(e.selected[:0], sel...)
 	if !sort.IntsAreSorted(e.selected) {
@@ -685,34 +761,18 @@ func (e *Engine[S]) Step() (bool, error) {
 	return true, nil
 }
 
-// fusedEligible reports whether the step can take the fused synchronous
-// fast path (stepFused): packed state with incremental tracking, a
-// selection that is the maintained enabled list itself (the synchronous
-// daemon returns the enabled slice unmodified, so identity of the backing
-// array identifies it), and a dense firing front — the regime where the
-// general path would rebuild the enabled list with refreshDense anyway.
-// Sparse fronts stay on the general path: its dirty-set merge beats a full
-// rescan there. The sortedness check guards against a daemon permuting the
-// enabled list in place; any failure falls back to the general path, which
-// normalizes and handles every case.
-func (e *Engine[S]) fusedEligible(sel, enabled []int) bool {
-	return e.loc != nil &&
-		len(sel) == len(enabled) && &sel[0] == &enabled[0] &&
-		4*len(sel) >= e.p.N() &&
-		sort.IntsAreSorted(sel)
-}
-
 // stepFused executes one dense synchronous transition in a single sharded
 // pass over the packed buffer: each shard reads the rules of its activated
 // vertices straight from the maintained ruleOf table (every activated
 // vertex has one — the selection is the enabled list, which is exactly the
 // set of vertices with a set rule), applies them against the frozen front
-// buffer into the back buffer, fills the unfired gaps by word copy, and
-// refreshes the decoded shadow — evaluate, select bookkeeping, staging and
-// commit collapsed into one pass, with a buffer swap where the general
-// path scatters staged words back. The refreshDense rebuild is the step's
-// second and last pool epoch; a full-firing step allocates nothing
-// (TestFusedStepZeroAlloc). The observable execution — selection,
+// buffer into the back buffer and fills the unfired gaps by word copy —
+// evaluate, select bookkeeping, staging and commit collapsed into one
+// pass, with a buffer swap where the general path scatters staged words
+// back. The decoded shadow is only marked stale (Current decodes it on
+// read). The refreshDense rebuild is the step's second and last epoch;
+// below the shard size both run inline, and a full-firing step allocates
+// nothing (TestFusedStepZeroAlloc). The observable execution — selection,
 // rules, counters, guard-evaluation accounting (+N from the refreshDense
 // rebuild, as on the general dense path), hook order — is bitwise
 // identical to the general path; the differential matrix pins this.
@@ -753,10 +813,10 @@ func (e *Engine[S]) stepFused(activated []int) (bool, error) {
 				prev = v + 1
 			}
 			copy(e.stNext[prev*w:hi*w], e.st[prev*w:hi*w])
-			e.fl.DecodeStates(e.stNext, w, 0, sub, e.cfg)
 		})
 	}
 	e.st, e.stNext = e.stNext, e.st
+	e.stale = true
 	e.steps++
 	e.moves += k
 	// Same post-commit order as the general path: rebuild, then settle the
@@ -770,12 +830,10 @@ func (e *Engine[S]) stepFused(activated []int) (bool, error) {
 
 // applyAllShard is the full-firing shard body of stepFused: apply every
 // vertex of [lo, hi) with its maintained rule against the frozen front
-// buffer into the back buffer, then refresh the decoded shadow.
+// buffer into the back buffer.
 func (e *Engine[S]) applyAllShard(_, lo, hi int) {
 	w := e.w
-	vs := e.allVerts[lo:hi]
-	e.fl.ApplyFlat(e.st, w, 0, vs, e.ruleOf[lo:hi], e.stNext[lo*w:hi*w], w, 0)
-	e.fl.DecodeStates(e.stNext, w, 0, vs, e.cfg)
+	e.fl.ApplyFlat(e.st, w, 0, e.allVerts[lo:hi], e.ruleOf[lo:hi], e.stNext[lo*w:hi*w], w, 0)
 }
 
 // evalMoves is the evaluate phase: rules and next states of every selected
@@ -831,8 +889,9 @@ func (e *Engine[S]) evalMoveRange(lo, hi int) error {
 
 // commitMoves merges the staged next words into the packed configuration
 // and refreshes the decoded shadow for the touched vertices, so cfg stays
-// exactly decode(st). Writes are per-vertex disjoint, so large commits
-// shard across workers like the evaluate phase.
+// exactly decode(st) unless an earlier fused step left it stale (then
+// Current decodes it whole). Writes are per-vertex disjoint, so large
+// commits shard across workers like the evaluate phase.
 func (e *Engine[S]) commitMoves() {
 	w := e.w
 	e.forShards(len(e.selected), func(_, lo, hi int) {
@@ -921,7 +980,7 @@ func growSlice[T any](buf []T, k int) []T {
 func (e *Engine[S]) Run(maxSteps int, until func(Config[S]) bool) (int, error) {
 	done := 0
 	for done < maxSteps {
-		if until != nil && until(e.cfg) {
+		if until != nil && until(e.Current()) {
 			return done, nil
 		}
 		progressed, err := e.Step()

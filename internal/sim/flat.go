@@ -22,11 +22,14 @@ package sim
 // Soundness contract: for every configuration c and its packed image,
 // EnabledRuleFlat and ApplyFlat must agree exactly with EnabledRule and
 // Apply, and EncodeState/DecodeState must round-trip every state the
-// protocol can produce. The engine keeps the decoded Config[S] as a live
-// shadow (daemons, hooks and Current() read it), and the differential
-// tests drive the engine against a sequential reference stepper that
-// interprets EnabledRule and Apply directly, through every protocol ×
-// daemon family, asserting bitwise identical executions.
+// protocol can produce. The engine keeps the decoded Config[S] as a
+// shadow that daemons, hooks and Current() read: the general step decodes
+// the moved vertices at commit, the dense synchronous step leaves the
+// shadow stale, and Current decodes all of it (DecodeStates) on the next
+// read. The differential tests drive the engine against a sequential
+// reference stepper that interprets EnabledRule and Apply directly,
+// through every protocol × daemon family, asserting bitwise identical
+// executions.
 
 // Flat is the optional flat-execution capability of a Protocol.
 // Implementations must be pure and safe for concurrent callers: the
@@ -42,8 +45,9 @@ type Flat[S comparable] interface {
 	DecodeState(v int, src []int64) S
 	// DecodeStates unpacks the states of every vertex in vs from the
 	// packed configuration st into cfg[vs[i]] — the batch form the engine
-	// uses to refresh its decoded shadow after each commit (one interface
-	// call per shard instead of one per move).
+	// uses to refresh its decoded shadow (one interface call per commit
+	// shard or per stale read, instead of one per vertex). It must not
+	// allocate.
 	DecodeStates(st []int64, stride, base int, vs []int, cfg Config[S])
 	// EnabledRuleFlat evaluates the guard of every vertex in vs against
 	// the packed configuration st (vertex v's words at
@@ -134,10 +138,14 @@ func MaxRuleOf[S comparable](p Protocol[S]) (Rule, bool) {
 }
 
 // DefaultShardSize is the minimum batch width per shard of the parallel
-// evaluate phase: selections (or dirty sets) smaller than this are
-// evaluated inline — spawning goroutines for a handful of guards costs
-// more than it saves.
-const DefaultShardSize = 4096
+// phases: work of at most this many vertices runs inline on the caller,
+// and larger work splits into shards of at least this size. It is the
+// measured cutoff of the pool's epoch hand-offs on a 2-core host: a
+// full-firing SSME step forced onto two shards loses to one worker at
+// n = 8192 (86–94 vs 58–86 µs), breaks even at 16384 and wins from
+// 24576 on (188–207 vs 241–249 µs), so the 8192-ring steps inline and the
+// 65536- and 1048576-rings still split in two.
+const DefaultShardSize = 16384
 
 // Options configures engine construction beyond the mandatory arguments
 // of NewEngine. The zero value means: GOMAXPROCS shard workers,

@@ -103,5 +103,5 @@ func RunToFixpoint[S comparable](e *Engine[S], maxSteps int) (fixpoint bool, err
 			return true, nil
 		}
 	}
-	return Terminal(e.p, e.cfg), nil
+	return Terminal(e.p, e.Current()), nil
 }

@@ -108,8 +108,27 @@ type Protocol[S comparable] interface {
 type Daemon[S comparable] interface {
 	// Name identifies the daemon in reports (e.g. "sd", "ud/random-central").
 	Name() string
-	// Select chooses the vertices to activate this step.
+	// Select chooses the vertices to activate this step. Both c and
+	// enabled are owned by the engine and read-only.
 	Select(c Config[S], enabled []int, rng *rand.Rand) []int
+}
+
+// FiresAll is an optional capability of a Daemon declaring that it is the
+// synchronous daemon sd: when FiresAllEnabled reports true, Select returns
+// the enabled list itself and reads neither the configuration nor the
+// generator. The engine then never calls Select — it fires the enabled
+// list directly, and a dense step takes the fused synchronous path without
+// decoding the configuration for the daemon. A wrapper daemon that
+// forwards Select to an sd daemon must forward this method too, or its
+// engines take the general path (the same execution, more slowly).
+type FiresAll interface {
+	FiresAllEnabled() bool
+}
+
+// firesAll reports whether d declares the FiresAll capability.
+func firesAll[S comparable](d Daemon[S]) bool {
+	fa, ok := d.(FiresAll)
+	return ok && fa.FiresAllEnabled()
 }
 
 // RandomConfig draws an arbitrary configuration for p — the model of a

@@ -79,6 +79,7 @@ type allEnabled struct{}
 
 func (allEnabled) Name() string                                      { return "test-sync" }
 func (allEnabled) Select(_ Config[int], e []int, _ *rand.Rand) []int { return e }
+func (allEnabled) FiresAllEnabled() bool                             { return true }
 
 // firstOnly activates only the first enabled vertex.
 type firstOnly struct{}
