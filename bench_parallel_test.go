@@ -3,8 +3,10 @@
 // flat backend, sequential vs shard-parallel, on unison rings of 65536
 // and 1048576 vertices in the full-width steady state, and SSME on the
 // 8192-ring the repository benchmark's sim-ssme-sd workload steps.
-// BENCH_parallel.json records them; E12d reports the unison quantities
-// from the experiment harness.
+// BENCH_parallel.json records them; they are the repository's only
+// measurement of step speed per worker count, and
+// TestParallelBenchmarkInvariance checks that every worker count replays
+// the same execution.
 //
 // The parallel sub-benchmarks use Workers:0 (the GOMAXPROCS default), so
 // the worker count follows the -cpu flag — the CI smoke step runs

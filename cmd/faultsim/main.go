@@ -58,6 +58,12 @@ func run(args []string, out io.Writer) error {
 	if err := common.RejectTelemetry("faultsim"); err != nil {
 		return err
 	}
+	if *bursts < 1 {
+		return fmt.Errorf("-bursts must be ≥ 1, got %d", *bursts)
+	}
+	if *quiet < 0 {
+		return fmt.Errorf("-quiet must be ≥ 0, got %d", *quiet)
+	}
 	seed := common.Seed
 
 	g, err := cli.ParseTopology(*topology, *n, seed)

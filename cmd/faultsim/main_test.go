@@ -45,4 +45,14 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-bogus"}, &out); err == nil {
 		t.Fatal("want error for unknown flag")
 	}
+	for _, args := range [][]string{
+		{"-bursts", "0"},
+		{"-bursts", "-1"},
+		{"-bursts", "-1", "-service"},
+		{"-quiet", "-1"},
+	} {
+		if err := run(args, &out); err == nil {
+			t.Fatalf("want error for %v", args)
+		}
+	}
 }

@@ -1,10 +1,13 @@
 package main
 
-// Smoke tests: flag parsing and one quick experiment through the
-// scenario-routed harness.
+// Smoke tests: flag parsing, one quick experiment through the
+// scenario-routed harness, and the whole quick suite against the tables
+// recorded in EXPERIMENTS.md.
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -19,6 +22,35 @@ func TestRunSingleExperimentQuick(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("report missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// TestExperimentsMarkdownReproduces: EXPERIMENTS.md records the output of
+// `specbench -quick -seed 1`; every table block in it must appear verbatim
+// in a fresh run, so the document cannot drift from the code.
+func TestExperimentsMarkdownReproduces(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-quick", "-seed", "1"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	blocks := 0
+	for _, part := range strings.Split(string(doc), "```text\n")[1:] {
+		block, _, ok := strings.Cut(part, "```")
+		if !ok {
+			t.Fatal("unterminated text block in EXPERIMENTS.md")
+		}
+		blocks++
+		if !strings.Contains(out.String(), block) {
+			title, _, _ := strings.Cut(block, "\n")
+			t.Errorf("EXPERIMENTS.md block %q does not match `specbench -quick -seed 1`", title)
+		}
+	}
+	if blocks == 0 {
+		t.Fatal("EXPERIMENTS.md has no text blocks")
 	}
 }
 

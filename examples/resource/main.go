@@ -1,20 +1,16 @@
-// Resource: deploy SSME as a real concurrent system — one goroutine per
-// process, mutex-guarded registers — and use the privilege to guard a
-// shared resource. After a simulated transient fault corrupts every clock,
-// the system self-stabilizes; once legitimate, the resource is never
-// accessed by two processes at once.
+// Resource: use SSME's privilege to guard a shared resource. A transient
+// fault corrupts every clock; the system self-stabilizes under a
+// distributed daemon on a two-worker engine, and once legitimate, the
+// resource is never accessed by two processes at once.
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"math/rand"
-	"sync/atomic"
-	"time"
 
-	"specstab/internal/concurrent"
 	"specstab/internal/core"
+	"specstab/internal/daemon"
 	"specstab/internal/graph"
 	"specstab/internal/sim"
 )
@@ -26,59 +22,51 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var (
-		resourceUsers atomic.Int32 // processes inside the critical section
-		collisions    atomic.Int32 // overlapping accesses (counted when armed)
-		accesses      atomic.Int64
-		armed         atomic.Bool
-	)
-	hook := func(v int, _ sim.Rule, before, _ int) {
-		if before != p.PrivilegeValue(v) {
-			return
-		}
-		// v holds the privilege: it uses the shared resource during this
-		// action (the model's critical section).
-		if resourceUsers.Add(1) > 1 && armed.Load() {
-			collisions.Add(1)
-		}
-		accesses.Add(1)
-		time.Sleep(20 * time.Microsecond) // pretend to work with the resource
-		resourceUsers.Add(-1)
-	}
-
 	// Transient fault: every register is garbage.
 	initial := sim.RandomConfig[int](p, rand.New(rand.NewSource(7)))
-	nw, err := concurrent.New[int](p, g, initial, hook)
+	e, err := sim.NewEngineWith[int](p, daemon.NewDistributed[int](0.5), initial, 7, sim.Options{Workers: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer e.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		nw.Run(ctx)
-	}()
-
-	fmt.Printf("deployed SSME on %s as %d goroutines; waiting for self-stabilization…\n", g, g.N())
-	start := time.Now()
-	if _, err := nw.Await(ctx, p.Legitimate, time.Millisecond); err != nil {
+	fmt.Printf("SSME on %s from a corrupted configuration; waiting for self-stabilization…\n", g)
+	steps, err := e.Run(p.UnfairBoundMoves(), p.Legitimate)
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("reached Γ₁ after %v and %d moves\n", time.Since(start).Round(time.Millisecond), nw.Moves())
-
-	// From here on, closure guarantees mutual exclusion: arm the detector
-	// and let the system serve the resource for a while.
-	armed.Store(true)
-	before := accesses.Load()
-	deadline := time.Now().Add(3 * time.Second)
-	for accesses.Load() < before+25 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+	if !p.Legitimate(e.Current()) {
+		log.Fatalf("not legitimate after %d steps", steps)
 	}
-	cancel()
-	<-done
+	fmt.Printf("reached Γ₁ after %d steps and %d moves\n", steps, e.Moves())
 
-	fmt.Printf("resource accesses after stabilization: %d\n", accesses.Load()-before)
-	fmt.Printf("overlapping accesses (must be 0):      %d\n", collisions.Load())
+	// A vertex uses the resource when it moves while privileged: that
+	// action is its critical section. From here on, closure guarantees at
+	// most one user per step.
+	privileged := make([]bool, g.N())
+	uses, overlaps := 0, 0
+	e.AddHook(func(info sim.StepInfo) {
+		users := 0
+		for _, v := range info.Activated {
+			if privileged[v] {
+				users++
+			}
+		}
+		uses += users
+		if users > 1 {
+			overlaps++
+		}
+	})
+	for uses < 25 {
+		c := e.Current()
+		for v := range privileged {
+			privileged[v] = p.Privileged(c, v)
+		}
+		if _, err := e.Step(); err != nil {
+			log.Fatal(err)
+		}
+	}
+
+	fmt.Printf("resource accesses after stabilization: %d in %d steps\n", uses, e.Steps()-steps)
+	fmt.Printf("overlapping accesses (must be 0):      %d\n", overlaps)
 }

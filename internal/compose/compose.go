@@ -39,8 +39,8 @@ type Pair[A, B comparable] struct {
 // Product runs two protocols with disjoint state on the same vertex set.
 // A Product is safe for concurrent use: guard evaluation draws its
 // projection scratch from a pool and the rule-pair table is filled once at
-// construction and only read afterwards, so compositions run under
-// concurrent.RoundNetwork and the engine's shard-parallel step (the race
+// construction and only read afterwards, so compositions run under the
+// engine's shard-parallel step and across concurrent engines (the race
 // tests exercise exactly that).
 //
 // Product rules are interned pairs of component rules, so products nest:

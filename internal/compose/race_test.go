@@ -1,21 +1,19 @@
 package compose_test
 
-// Satellite regression tests for the former concurrency hazard: Product
-// used to share projection scratch buffers across guard evaluations, so
-// compositions could not run under concurrent.RoundNetwork or the
-// engine's shard-parallel step. The buffers are pooled and the interning
-// table is filled once at construction now; these tests drive both
-// concurrent paths and are meant to run under the race detector (CI does).
+// Regression tests for the former concurrency hazard: Product used to
+// share projection scratch buffers across guard evaluations, so
+// compositions could not run under the engine's shard-parallel step. The
+// buffers are pooled and the interning table is filled once at
+// construction now; these tests evaluate one Product's guards from many
+// goroutines and are meant to run under the race detector (CI does).
 
 import (
-	"context"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"specstab/internal/bfstree"
 	"specstab/internal/compose"
-	"specstab/internal/concurrent"
 	"specstab/internal/daemon"
 	"specstab/internal/graph"
 	"specstab/internal/sim"
@@ -35,37 +33,6 @@ func newTestProduct(t *testing.T) *compose.Product[int, int] {
 		t.Fatal(err)
 	}
 	return compose.MustNew[int, int](uni, bfstree.MustNew(g, 0))
-}
-
-// TestProductUnderRoundNetwork runs a composition through the
-// barrier-synchronized concurrent deployment: EnabledRule/Apply are
-// invoked from one goroutine per vertex against the frozen round
-// configuration, which races on any shared scratch.
-func TestProductUnderRoundNetwork(t *testing.T) {
-	t.Parallel()
-	prod := newTestProduct(t)
-	initial := make(sim.Config[compose.Pair[int, int]], prod.N())
-	for v := range initial {
-		initial[v] = compose.Pair[int, int]{First: -v % 3, Second: v % 4}
-	}
-	rn, err := concurrent.NewRoundNetwork[compose.Pair[int, int]](prod, initial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done, err := rn.RunRounds(context.Background(), 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The concurrent rounds must equal the sequential synchronous steps.
-	e := sim.MustEngine[compose.Pair[int, int]](prod, daemon.NewSynchronous[compose.Pair[int, int]](), initial, 1)
-	for i := 0; i < done; i++ {
-		if _, err := e.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !rn.Snapshot().Equal(e.Current()) {
-		t.Fatal("RoundNetwork and sequential synchronous engine diverge on a composition")
-	}
 }
 
 // TestProductSharedAcrossEngines drives several engines over ONE Product

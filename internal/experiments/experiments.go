@@ -10,8 +10,8 @@
 // order by a thin metric extractor that renders the rows (DESIGN.md §9).
 // Per-cell randomness is fixed at grid-expansion time and folds run in
 // cell order, so all experiments are deterministic given RunConfig.Seed
-// for every worker count — E12's wall-clock columns excepted, as timings
-// necessarily vary between runs.
+// for every worker count. No experiment reads the wall clock: step speed
+// is the benchmarks' business.
 package experiments
 
 import (
@@ -41,10 +41,6 @@ type RunConfig struct {
 func (c RunConfig) pool() campaign.Pool {
 	return campaign.Pool{Workers: c.Workers}
 }
-
-// seqPool is the single-worker pool of the wall-clock experiments: cells
-// run strictly one after another, so timing columns never contend.
-func seqPool() campaign.Pool { return campaign.Pool{Workers: 1} }
 
 func (c RunConfig) seed() int64 {
 	if c.Seed == 0 {
@@ -88,7 +84,7 @@ func Registry() []Experiment {
 		{ID: "e9", Title: "Extension — daemon spectrum (multi-daemon Definition 4)", Run: E9DaemonSpectrum},
 		{ID: "e10", Title: "Extension — fault bursts and re-stabilization", Run: E10FaultStorm},
 		{ID: "e11", Title: "Extension — ℓ-exclusion via privilege groups", Run: E11LExclusion},
-		{ID: "e12", Title: "Substrate — engine scaling (locality, flat backend, shard-parallel workers)", Run: E12Scaling},
+		{ID: "e12", Title: "Substrate — engine locality scaling (incremental vs full-rescan guard evaluation)", Run: E12Scaling},
 		{ID: "e13", Title: "Service — workload-driven grants, live fault storms, client-observed speculation", Run: E13Service},
 	}
 }

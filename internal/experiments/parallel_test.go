@@ -31,8 +31,9 @@ func TestWorkerCountInvariance(t *testing.T) {
 	t.Parallel()
 	// E2 (trial fan-out per daemon), E4 (daemon factories), E7 (two-stage
 	// fan-out with early-exit fold), E10 (whole-scenario trials) cover
-	// every fan-out shape the harness uses.
-	for _, id := range []string{"e2", "e4", "e7", "e10"} {
+	// every fan-out shape the harness uses; E12 (paired incremental and
+	// full-rescan engines per cell) has no timing column left to exempt.
+	for _, id := range []string{"e2", "e4", "e7", "e10", "e12"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()

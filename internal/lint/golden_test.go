@@ -198,7 +198,6 @@ func runGolden(t *testing.T, name string, pol *Policy, opts RunOptions) {
 func goldenPolicy(paths ...string) *Policy {
 	return &Policy{
 		Deterministic:        set(paths...),
-		WallclockExemptPkgs:  map[string]bool{},
 		WallclockExemptFiles: map[string]bool{},
 	}
 }
@@ -239,19 +238,6 @@ func TestWallclockGolden(t *testing.T) {
 	pol := goldenPolicy("wallclock")
 	pol.WallclockExemptFiles["allowed.go"] = true
 	runGolden(t, "wallclock", pol, RunOptions{Analyzers: []*Analyzer{Wallclock}})
-}
-
-func TestWallclockPackageExemption(t *testing.T) {
-	pol := goldenPolicy("wallclock")
-	pol.WallclockExemptPkgs["wallclock"] = true
-	pkg := loadGolden(t, "wallclock")
-	diags, err := Run([]*Package{pkg}, pol, RunOptions{Analyzers: []*Analyzer{Wallclock}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 0 {
-		t.Fatalf("wallclock fired in an exempt package: %v", diags)
-	}
 }
 
 func TestDetRandGolden(t *testing.T) {

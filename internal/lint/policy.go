@@ -13,13 +13,10 @@ type Policy struct {
 	// reproducible across worker counts and runs: detmap and
 	// detrand apply only here.
 	Deterministic map[string]bool
-	// WallclockExemptPkgs lists whole packages whose business is real
-	// time (the asynchronous network runtime, its example driver).
-	WallclockExemptPkgs map[string]bool
 	// WallclockExemptFiles lists module-relative files with sanctioned
-	// wall-clock reads (experiment timing columns). Bench and test files
-	// are outside the audit entirely — speclint analyzes non-test
-	// sources.
+	// wall-clock reads (the telemetry sink and netrun's network boundary).
+	// Bench and test files are outside the audit entirely — speclint
+	// analyzes non-test sources.
 	WallclockExemptFiles map[string]bool
 	// GoroutineExemptFiles lists module-relative files allowed to contain
 	// raw go statements inside deterministic packages — the approved
@@ -70,16 +67,7 @@ func Default() *Policy {
 			// harness files carry the exemptions claimed below.
 			"specstab/internal/netrun",
 		),
-		WallclockExemptPkgs: set(
-			// The concurrent runtime schedules real goroutines against
-			// real time; wall-clock is its subject matter, not a leak.
-			"specstab/internal/concurrent",
-			// examples/resource drives that runtime interactively.
-			"specstab/examples/resource",
-		),
 		WallclockExemptFiles: set(
-			// E12's wall-clock throughput columns: timing is the payload.
-			"internal/experiments/e12_scaling.go",
 			// The JSONL sink stamps events with wall time at the sink
 			// boundary only — series and events carry logical ticks.
 			"internal/telemetry/jsonl.go",

@@ -21,7 +21,7 @@ var wallclockFuncs = map[string]bool{
 }
 
 // Wallclock forbids wall-clock reads everywhere in the module except the
-// explicitly allowlisted sites (Policy.WallclockExemptPkgs/Files).
+// explicitly allowlisted sites (Policy.WallclockExemptFiles).
 // Deterministic code takes time as data: engine steps, service ticks and
 // campaign grids advance logical clocks (internal/clock, service tick
 // counters) driven by the scenario seed, never by the host scheduler. A
@@ -30,16 +30,13 @@ var wallclockFuncs = map[string]bool{
 var Wallclock = &Analyzer{
 	Name:      "wallclock",
 	Directive: "wallclock",
-	Doc: "forbid time.Now/Since/Sleep and friends outside the allowlist (experiment timing columns, " +
-		"the real-time concurrent runtime): deterministic code takes time via logical clocks and " +
+	Doc: "forbid time.Now/Since/Sleep and friends outside the allowlist (the telemetry sink, " +
+		"netrun's network boundary): deterministic code takes time via logical clocks and " +
 		"seeded schedules, not the host's",
 	Run: runWallclock,
 }
 
 func runWallclock(pass *Pass) error {
-	if pass.Policy.WallclockExemptPkgs[pass.Pkg.Path] {
-		return nil
-	}
 	for ident, obj := range pass.Pkg.Info.Uses {
 		fn, ok := obj.(*types.Func)
 		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" || !wallclockFuncs[fn.Name()] {

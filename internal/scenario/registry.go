@@ -88,11 +88,18 @@ func TopologyNames() []string {
 
 // BuildTopology constructs the named graph with main size spec.N; seed
 // drives the random families exactly as the CLI always has (one fresh
-// generator per construction).
-func BuildTopology(spec TopologySpec, seed int64) (*graph.Graph, error) {
+// generator per construction). The graph constructors panic on sizes they
+// reject; this is where a user-supplied size meets them, so such a panic
+// is returned as the error instead.
+func BuildTopology(spec TopologySpec, seed int64) (g *graph.Graph, err error) {
 	name := strings.ToLower(spec.Name)
 	for _, e := range topologyRegistry {
 		if e.name == name {
+			defer func() {
+				if r := recover(); r != nil {
+					g, err = nil, fmt.Errorf("topology %s with n = %d: %v", name, spec.N, r)
+				}
+			}()
 			return e.build(spec.N, rand.New(rand.NewSource(seed))), nil
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"specstab/internal/graph"
 	"specstab/internal/scenario"
 )
 
@@ -28,6 +29,23 @@ func TestRegistryListingGolden(t *testing.T) {
 	if got != string(want) {
 		t.Fatalf("registry listing drifted from %s (run with -update to accept):\n--- got ---\n%s--- want ---\n%s",
 			path, got, want)
+	}
+}
+
+// TestBuildTopologyRejectsBadSizes: every topology at a degenerate size
+// either builds a valid graph or returns an error — never a panic.
+func TestBuildTopologyRejectsBadSizes(t *testing.T) {
+	t.Parallel()
+	for _, name := range scenario.TopologyNames() {
+		for _, n := range []int{-1, 0, 1, 2} {
+			g, err := scenario.BuildTopology(scenario.TopologySpec{Name: name, N: n}, 1)
+			if err != nil {
+				continue
+			}
+			if _, err := graph.New(g.Name(), g.N(), g.Edges()); err != nil {
+				t.Errorf("%s n=%d: built an invalid graph: %v", name, n, err)
+			}
+		}
 	}
 }
 
