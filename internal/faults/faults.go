@@ -18,23 +18,6 @@ import (
 	"specstab/internal/sim"
 )
 
-// Corrupt returns a copy of c with k distinct randomly chosen registers
-// replaced by arbitrary domain values. k is clamped to [0, n]. Note that a
-// corrupted register may coincidentally receive its old value — transient
-// faults are allowed to be harmless.
-func Corrupt[S comparable](p sim.Protocol[S], c sim.Config[S], k int, rng *rand.Rand) sim.Config[S] {
-	out := c.Clone()
-	n := p.N()
-	if k > n {
-		k = n
-	}
-	perm := rng.Perm(n)
-	for _, v := range perm[:k] {
-		out[v] = p.RandomState(v, rng)
-	}
-	return out
-}
-
 // Burst is one fault event in a scenario.
 type Burst struct {
 	// AfterSteps: run this many steps before the burst fires (counted
@@ -114,7 +97,7 @@ func (s Scenario[S]) Run(initial sim.Config[S], bursts []Burst, seed int64) ([]R
 		cfg = e.Snapshot()
 
 		// The burst.
-		cfg = Corrupt(s.Protocol, cfg, b.CorruptVertices, rng)
+		cfg = sim.Corrupt(s.Protocol, cfg, b.CorruptVertices, rng)
 
 		// Recovery.
 		next, rec, err := s.recover(cfg, rng)

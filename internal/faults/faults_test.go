@@ -11,45 +11,6 @@ import (
 	"specstab/internal/sim"
 )
 
-func TestCorruptRespectsDomainAndCount(t *testing.T) {
-	t.Parallel()
-	g := graph.Ring(9)
-	p := core.MustNew(g)
-	base, err := p.UniformConfig(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	for _, k := range []int{0, 1, 4, 9, 100} {
-		got := Corrupt[int](p, base, k, rng)
-		if len(got) != g.N() {
-			t.Fatalf("k=%d: wrong length", k)
-		}
-		changed := 0
-		for v := range got {
-			if err := p.Clock().Validate(got[v]); err != nil {
-				t.Fatalf("k=%d: corrupted value out of domain: %v", k, err)
-			}
-			if got[v] != base[v] {
-				changed++
-			}
-		}
-		max := k
-		if max > g.N() {
-			max = g.N()
-		}
-		if changed > max {
-			t.Errorf("k=%d: %d registers changed, more than corrupted", k, changed)
-		}
-		// The original must be untouched.
-		for v := range base {
-			if base[v] != 0 {
-				t.Fatal("Corrupt mutated its input")
-			}
-		}
-	}
-}
-
 func TestSSMERecoversFromRepeatedBursts(t *testing.T) {
 	t.Parallel()
 	for _, g := range []*graph.Graph{graph.Ring(8), graph.Grid(3, 4), graph.Star(7)} {
@@ -160,21 +121,6 @@ func TestZeroBurstsMeansNoRecoveries(t *testing.T) {
 	}
 	if len(recs) != 0 {
 		t.Errorf("expected no recoveries, got %d", len(recs))
-	}
-}
-
-func TestCorruptDeterministicForSeed(t *testing.T) {
-	t.Parallel()
-	g := graph.Ring(8)
-	p := core.MustNew(g)
-	base, err := p.UniformConfig(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := Corrupt[int](p, base, 4, rand.New(rand.NewSource(9)))
-	b := Corrupt[int](p, base, 4, rand.New(rand.NewSource(9)))
-	if !a.Equal(b) {
-		t.Error("same seed must corrupt identically")
 	}
 }
 

@@ -73,8 +73,8 @@ func Default() *Policy {
 			"internal/telemetry/jsonl.go",
 			// netrun's entire wall-clock surface: frame deadlines, dial
 			// backoff, barrier patience. Everything above it reasons in
-			// rounds (leases included), which is what keeps the journal
-			// replayable.
+			// rounds, leases included; the journal holds no grant state,
+			// so replay does not depend on how leases are denominated.
 			"internal/netrun/transport.go",
 			// The barrier's stall timer and the receive pump's blocking
 			// reads: the concurrent barrier's only clock, paired with

@@ -20,7 +20,7 @@ type AcquireRequest struct {
 	// Lock names the lock; ResolveLock maps it to a vertex ("vertex:K"
 	// addresses one directly).
 	Lock string `json:"lock"`
-	// Client identifies the requester in journals and fairness reports.
+	// Client names the requester; the gate neither records nor checks it.
 	Client string `json:"client,omitempty"`
 	// WaitRounds bounds the queue wait (0 = DefaultWaitRounds).
 	WaitRounds int `json:"waitRounds,omitempty"`
@@ -40,7 +40,7 @@ type AcquireReply struct {
 	Round      int64 `json:"round"`
 	LeaseRound int64 `json:"leaseRound,omitempty"`
 	// Reason explains a refusal: "not-owner" (retry against Node),
-	// "timeout" (WaitRounds elapsed), "draining", "canceled".
+	// "timeout" (WaitRounds elapsed), "draining", or a bad lock name.
 	Reason string `json:"reason,omitempty"`
 }
 

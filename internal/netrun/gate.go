@@ -1,43 +1,31 @@
 package netrun
 
-// The grant gate: the per-node adaptation of internal/service's grant
-// discipline to the networked runtime. The service simulation owns a
-// global view and ticks; the gate owns one shard and rounds. Per
-// committed round it expires leases, times out stale waiters, and grants
-// shard-owned vertices that are privileged in the freshly committed
-// configuration — ascending vertex order, bounded by the system-wide
-// capacity estimated from its own active grants plus every peer's
-// frame-carried count (a one-round-lagged view; see the safety note on
-// step). Clients interact through HTTP handlers that only touch the
-// mutex-guarded queue state — the configuration itself is read
-// exclusively by the round loop, so the gate never races the replica.
+// The grant gate: one node's shard of the grant discipline. Queues,
+// outstanding grants, lease expiry and the ascending grant pass are
+// internal/service's Adapter, the code service.Sim ticks, run here over
+// committed rounds with the peers' frame-carried grant counts as external
+// occupancy (see the safety note on step). The gate adds what the network
+// needs: tokens, reply channels, waiter deadlines and the safety
+// counters. HTTP handlers touch only the mutex-guarded queue state; the
+// configuration is read by the round loop alone, so the gate never races
+// the replica.
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"specstab/internal/service"
 	"specstab/internal/sim"
 )
 
-// waiter is one parked acquire. The reply channel is buffered and the
-// done flag is flipped under the gate mutex before any reply, so every
-// waiter receives at most one reply and a canceled handler leaks
-// nothing.
+// waiter is one parked acquire. The reply channel is buffered and a
+// waiter is answered exactly when it leaves the queue — granted, timed
+// out or drained — so it receives at most one reply, and a canceled
+// handler, whose waiter is dropped unanswered, leaks nothing.
 type waiter struct {
-	vertex   int
-	client   string
 	deadline int64 // round after which the wait times out
-	done     bool
 	ch       chan AcquireReply
-}
-
-// grantRec is one outstanding grant.
-type grantRec struct {
-	vertex     int
-	token      string
-	client     string
-	leaseRound int64 // round at which the grant is reclaimed
 }
 
 // gate serializes grant decisions for one node's shard.
@@ -53,14 +41,12 @@ type gate struct {
 	mu       sync.Mutex
 	round    int64
 	draining bool
-	seq      int64
-	waiters  []*waiter
-	active   []grantRec
+	adapter  *service.Adapter[*waiter, string] // grants carry their token
+	priv     []int                             // the shard's privileged vertices, per step
 
 	grants       int64
 	released     int64
 	leaseExpired int64
-	timeouts     int64
 	unsafeGrants int64
 	unsafePost   int64
 	legitRound   int64
@@ -70,6 +56,8 @@ func newGate(id, nodes, n, lo, hi, capacity int, lease int64, lock service.Lock)
 	g := &gate{
 		id: id, nodes: nodes, n: n, lo: lo, hi: hi,
 		capacity: capacity, lease: lease, lock: lock,
+		adapter:    service.NewAdapter[*waiter, string](lo, hi, capacity),
+		priv:       make([]int, 0, hi-lo),
 		legitRound: -1,
 	}
 	g.legit, _ = lock.(service.Legitimizer)
@@ -92,25 +80,25 @@ func (g *gate) acquire(req AcquireRequest) (AcquireReply, *waiter) {
 	if g.draining {
 		return AcquireReply{Vertex: v, Node: g.id, Round: g.round, Reason: "draining"}, nil
 	}
-	wait := req.WaitRounds
+	wait := int64(req.WaitRounds)
 	if wait <= 0 {
 		wait = DefaultWaitRounds
 	}
-	w := &waiter{
-		vertex:   v,
-		client:   req.Client,
-		deadline: g.round + int64(wait),
-		ch:       make(chan AcquireReply, 1),
+	deadline := g.round + wait
+	if deadline < g.round {
+		deadline = math.MaxInt64 // saturate: a huge wait never times out
 	}
-	g.waiters = append(g.waiters, w)
+	w := &waiter{deadline: deadline, ch: make(chan AcquireReply, 1)}
+	g.adapter.Push(v, w)
 	return AcquireReply{}, w
 }
 
-// cancel abandons a parked waiter (client disconnected).
+// cancel abandons a parked waiter (client disconnected); one already
+// answered is gone from the queue, and nothing happens.
 func (g *gate) cancel(w *waiter) {
 	g.mu.Lock()
-	w.done = true
-	g.mu.Unlock()
+	defer g.mu.Unlock()
+	g.adapter.Filter(func(_ int, q *waiter) bool { return q != w })
 }
 
 // release returns a token. An unknown token is a refusal, not an HTTP
@@ -119,12 +107,9 @@ func (g *gate) cancel(w *waiter) {
 func (g *gate) release(req ReleaseRequest) ReleaseReply {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for i, h := range g.active {
-		if h.token == req.Token {
-			g.active = append(g.active[:i], g.active[i+1:]...)
-			g.released++
-			return ReleaseReply{Released: true, Round: g.round}
-		}
+	if g.adapter.Release(func(tok string) bool { return tok == req.Token }) {
+		g.released++
+		return ReleaseReply{Released: true, Round: g.round}
 	}
 	return ReleaseReply{Released: false, Round: g.round, Reason: "unknown token (lease expired?)"}
 }
@@ -135,13 +120,10 @@ func (g *gate) drain() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.draining = true
-	for _, w := range g.waiters {
-		if !w.done {
-			w.done = true
-			w.ch <- AcquireReply{Vertex: w.vertex, Node: g.id, Round: g.round, Reason: "draining"}
-		}
-	}
-	g.waiters = g.waiters[:0]
+	g.adapter.Filter(func(v int, w *waiter) bool {
+		w.ch <- AcquireReply{Vertex: v, Node: g.id, Round: g.round, Reason: "draining"}
+		return false
+	})
 }
 
 // idle reports whether nothing is held or parked — the drain exit
@@ -149,14 +131,14 @@ func (g *gate) drain() {
 func (g *gate) idle() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return len(g.active) == 0 && len(g.waiters) == 0
+	return len(g.adapter.Active()) == 0 && g.adapter.Waiting() == 0
 }
 
 // activeCount is the node's contribution to its round frames.
 func (g *gate) activeCount() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return len(g.active)
+	return len(g.adapter.Active())
 }
 
 // step runs the gate for one committed round. cfg is the round's decoded
@@ -181,107 +163,58 @@ func (g *gate) step(round int64, cfg sim.Config[int], peerActive []uint32) {
 	}
 	// The exact global privilege count — computable locally because every
 	// node holds the full replica — is the safety observer, O(n) per
-	// round, which the modest rings lockd targets afford.
+	// round, which the modest rings lockd targets afford. The same sweep
+	// collects the shard's privileged vertices, ascending.
 	priv := 0
+	g.priv = g.priv[:0]
 	for v := 0; v < g.n; v++ {
 		if g.lock.Privileged(cfg, v) {
 			priv++
+			if v >= g.lo && v < g.hi {
+				g.priv = append(g.priv, v)
+			}
 		}
 	}
 	// Reclaim expired leases before counting occupancy.
-	kept := g.active[:0]
-	for _, h := range g.active {
-		if h.leaseRound <= round {
-			g.leaseExpired++
-		} else {
-			kept = append(kept, h)
-		}
-	}
-	g.active = kept
-	occupancy := len(g.active)
+	g.adapter.Expire(round, func(service.Grant[string]) { g.leaseExpired++ })
+	external := 0
 	for _, a := range peerActive {
-		occupancy += int(a)
+		external += int(a)
 	}
-	// Grant ascending over the shard: deterministic order, same as the
-	// service simulation's tick.
-	for v := g.lo; v < g.hi && occupancy < g.capacity; v++ {
-		if g.vertexHeld(v) || !g.lock.Privileged(cfg, v) {
-			continue
-		}
-		w := g.popWaiter(v)
-		if w == nil {
-			continue
-		}
-		g.seq++
-		tok := fmt.Sprintf("%d.%d.%d", g.id, v, g.seq)
-		leaseRound := round + g.lease
-		g.active = append(g.active, grantRec{vertex: v, token: tok, client: w.client, leaseRound: leaseRound})
+	g.adapter.Issue(g.priv, external, func(v int, w *waiter) (int64, string) {
 		g.grants++
+		tok := fmt.Sprintf("%d.%d.%d", g.id, v, g.grants)
+		leaseRound := round + g.lease
 		if priv > g.capacity {
 			g.unsafeGrants++
 			if g.legitRound >= 0 {
 				g.unsafePost++
 			}
 		}
-		occupancy++
-		w.done = true
 		w.ch <- AcquireReply{
 			Granted: true, Token: tok, Vertex: v, Node: g.id,
 			Round: round, LeaseRound: leaseRound,
 		}
-	}
+		return leaseRound, tok
+	})
 	// Time out stale waiters after the grant pass, so a grant and an
 	// expiry in the same round resolve in the waiter's favor.
-	live := g.waiters[:0]
-	for _, w := range g.waiters {
-		switch {
-		case w.done:
-		case w.deadline <= round:
-			g.timeouts++
-			w.done = true
-			w.ch <- AcquireReply{Vertex: w.vertex, Node: g.id, Round: round, Reason: "timeout"}
-		default:
-			live = append(live, w)
-		}
-	}
-	g.waiters = live
-}
-
-// vertexHeld reports whether v already carries an outstanding grant
-// (callers hold g.mu).
-func (g *gate) vertexHeld(v int) bool {
-	for _, h := range g.active {
-		if h.vertex == v {
+	g.adapter.Filter(func(v int, w *waiter) bool {
+		if w.deadline > round {
 			return true
 		}
-	}
-	return false
-}
-
-// popWaiter returns the oldest live waiter for v, marking nothing — the
-// caller completes the grant (callers hold g.mu).
-func (g *gate) popWaiter(v int) *waiter {
-	for _, w := range g.waiters {
-		if !w.done && w.vertex == v {
-			return w
-		}
-	}
-	return nil
+		w.ch <- AcquireReply{Vertex: v, Node: g.id, Round: round, Reason: "timeout"}
+		return false
+	})
 }
 
 // fill copies the gate's counters into a status snapshot.
 func (g *gate) fill(rep *StatusReply) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	backlog := 0
-	for _, w := range g.waiters {
-		if !w.done {
-			backlog++
-		}
-	}
 	rep.Draining = g.draining
-	rep.Backlog = backlog
-	rep.Active = len(g.active)
+	rep.Backlog = g.adapter.Waiting()
+	rep.Active = len(g.adapter.Active())
 	rep.Grants = g.grants
 	rep.Released = g.released
 	rep.LeaseExpired = g.leaseExpired

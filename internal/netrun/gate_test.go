@@ -12,6 +12,7 @@ package netrun
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -215,6 +216,38 @@ func TestGateGolden(t *testing.T) {
 	got := s.out.String() + "--\n" + z.out.String()
 	if got != gateGolden {
 		t.Errorf("gate transcript changed:\n%s\nwant:\n%s", got, gateGolden)
+	}
+}
+
+// TestGateWaitDeadlineSaturates: a waitRounds near the int64 horizon
+// must wait, not wrap the deadline negative and time out on the next
+// round.
+func TestGateWaitDeadlineSaturates(t *testing.T) {
+	t.Parallel()
+	s := newGateScript(t, 1, 4, 8, 1, 4)
+	s.step(5, []int{9}, 0, 0)
+	s.acquire("w", "vertex:5", math.MaxInt)
+	for r := int64(6); r < 10; r++ {
+		s.step(r, []int{9}, 0, 0)
+	}
+	s.step(10, []int{5}, 0, 0)
+	want := `step 5 privs=[9] peers=[0 0]
+  active=0 idle=true
+acquire w "vertex:5" wait=9223372036854775807 -> parked
+step 6 privs=[9] peers=[0 0]
+  active=0 idle=false
+step 7 privs=[9] peers=[0 0]
+  active=0 idle=false
+step 8 privs=[9] peers=[0 0]
+  active=0 idle=false
+step 9 privs=[9] peers=[0 0]
+  active=0 idle=false
+step 10 privs=[5] peers=[0 0]
+  w <- {"granted":true,"token":"1.5.1","vertex":5,"node":1,"round":10,"leaseRound":14}
+  active=1 idle=false
+`
+	if got := s.out.String(); got != want {
+		t.Errorf("transcript:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"math/rand"
 	"testing"
 
 	"specstab/internal/daemon"
@@ -8,15 +9,38 @@ import (
 	"specstab/internal/sim"
 )
 
+// killed is the vanished-client injector: it wraps a closed-loop
+// population and dooms its first k clients — once granted they never
+// release (an infinite hold through the HoldTimer capability) and never
+// rejoin the population after their grant ends.
+type killed struct {
+	*ClosedLoop
+	k int32
+}
+
+// Completed implements Workload: a doomed client's completion is the
+// lease reclaiming its vertex, not a release, and it does not come back.
+func (w killed) Completed(client int32, v int32, t int64, rng *rand.Rand) {
+	if client >= w.k {
+		w.ClosedLoop.Completed(client, v, t, rng)
+	}
+}
+
+// HoldTicks implements HoldTimer: doomed clients hold forever; everyone
+// else defers to the configured hold.
+func (w killed) HoldTicks(client int32, _ *rand.Rand) int64 {
+	if client < w.k {
+		return -1
+	}
+	return 0
+}
+
 // leaseSim builds a small token ring serving a closed-loop population with
 // the first two clients doomed (acquire, then vanish without releasing).
 func leaseSim(t *testing.T, lease int) *Sim {
 	t.Helper()
 	p := dijkstra.MustNew(8, 9)
-	wl, err := NewKilled(MustClosedLoop(8, 16, 0, 2), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wl := killed{ClosedLoop: MustClosedLoop(8, 16, 0, 2), k: 2}
 	s, err := New(p, daemon.NewSynchronous[int](), make(sim.Config[int], 8), 11, wl,
 		Options{Hold: 1, Capacity: 1, Lease: lease})
 	if err != nil {

@@ -117,7 +117,7 @@ func (s *Sim) snapshot(c *counters) Metrics {
 		WastedIdle:  c.wastedIdle,
 		WastedBusy:  c.wastedBusy,
 		UnsafeTicks: c.unsafeTicks,
-		Backlog:     s.waiting,
+		Backlog:     s.Backlog(),
 	}
 	if c.ticks > 0 {
 		m.GrantsPerTick = float64(c.grants) / float64(c.ticks)
@@ -161,11 +161,10 @@ func (s *Sim) LatencyCDF(quantiles []float64) ([]float64, bool) {
 
 // starvationAges returns the waiting ages (ticks) of all queued requests.
 func (s *Sim) starvationAges() []float64 {
-	out := make([]float64, 0, s.waiting)
-	for v := range s.queues {
-		q := &s.queues[v]
-		for i := q.head; i < len(q.reqs); i++ {
-			out = append(out, float64(s.tick-q.reqs[i].arrival))
+	out := make([]float64, 0, s.adapter.Waiting())
+	for v := 0; v < s.n; v++ {
+		for _, r := range s.adapter.Queue(v) {
+			out = append(out, float64(s.tick-r.arrival))
 		}
 	}
 	return out
@@ -208,7 +207,7 @@ func jainInt32(xs []int32) float64 {
 func (s *Sim) Fingerprint() uint64 {
 	h := newFNV()
 	h.int64(s.tick)
-	h.int64(s.waiting)
+	h.int64(s.Backlog())
 	for _, c := range []*counters{&s.win, &s.tot} {
 		h.int64(c.ticks)
 		h.int64(c.requests)
@@ -221,18 +220,18 @@ func (s *Sim) Fingerprint() uint64 {
 			h.int64(int64(l))
 		}
 	}
-	for v := range s.queues {
-		q := &s.queues[v]
-		h.int64(int64(q.len()))
-		for i := q.head; i < len(q.reqs); i++ {
-			h.int64(int64(q.reqs[i].client))
-			h.int64(q.reqs[i].arrival)
+	for v := 0; v < s.n; v++ {
+		q := s.adapter.Queue(v)
+		h.int64(int64(len(q)))
+		for _, r := range q {
+			h.int64(int64(r.client))
+			h.int64(r.arrival)
 		}
 	}
-	for _, a := range s.active {
-		h.int64(int64(a.v))
-		h.int64(int64(a.client))
-		h.int64(a.end)
+	for _, a := range s.adapter.Active() {
+		h.int64(int64(a.V))
+		h.int64(int64(a.Data.client))
+		h.int64(a.End)
 	}
 	for _, v := range s.privList {
 		h.int64(int64(v))

@@ -95,34 +95,12 @@ type request struct {
 	arrival int64
 }
 
-// vqueue is a per-vertex FIFO with an amortized-O(1) pop.
-type vqueue struct {
-	reqs []request
-	head int
-}
-
-func (q *vqueue) push(r request) { q.reqs = append(q.reqs, r) }
-
-func (q *vqueue) pop() request {
-	r := q.reqs[q.head]
-	q.head++
-	if q.head == len(q.reqs) {
-		q.reqs = q.reqs[:0]
-		q.head = 0
-	}
-	return r
-}
-
-func (q *vqueue) len() int { return len(q.reqs) - q.head }
-
-// hold is one active grant: vertex v serves client until tick end.
-// leased marks grants the lease bound truncated (the client would have
-// stayed longer, or forever) — their completion is a reclaim, not a
+// hold is what an active grant carries: the client served, and whether
+// the lease bound truncated the grant (the client would have stayed
+// longer, or forever) — its completion is then a reclaim, not a
 // voluntary release.
 type hold struct {
-	v      int32
 	client int32
-	end    int64
 	leased bool
 }
 
@@ -139,7 +117,8 @@ type Sim struct {
 
 	hold     int64
 	lease    int64
-	holdWl   HoldTimer // non-nil when the workload sets per-grant holds
+	holdWl   HoldTimer                  // non-nil when the workload sets per-grant holds
+	emit     func(client, vertex int32) // s.enqueue, bound once: Tick passes it without allocating
 	capacity int
 
 	leaseExpired int64
@@ -154,9 +133,7 @@ type Sim struct {
 	dirty     []int
 	dirtyMark []bool
 
-	queues  []vqueue
-	waiting int64
-	active  []hold // ≤ capacity entries, in issue order
+	adapter *Adapter[request, hold]
 
 	tick int64
 
@@ -201,9 +178,10 @@ func New(lock Lock, d sim.Daemon[int], initial sim.Config[int], seed int64, wl W
 		lease:    int64(opt.Lease),
 		capacity: opt.Capacity,
 		priv:     make([]bool, n),
-		queues:   make([]vqueue, n),
+		adapter:  NewAdapter[request, hold](0, n, opt.Capacity),
 		vGrants:  make([]int64, n),
 	}
+	s.emit = s.enqueue
 	if c := wl.Clients(); c > 0 {
 		s.cGrants = make([]int32, c)
 	}
@@ -229,7 +207,7 @@ func (s *Sim) Engine() *sim.Engine[int] { return s.eng }
 func (s *Sim) Ticks() int64 { return s.tick }
 
 // Backlog returns the number of currently waiting requests.
-func (s *Sim) Backlog() int64 { return s.waiting }
+func (s *Sim) Backlog() int64 { return int64(s.adapter.Waiting()) }
 
 // Grants returns the total grants issued since construction.
 func (s *Sim) Grants() int64 { return s.tot.grants }
@@ -308,8 +286,7 @@ func (s *Sim) refreshPriv(activated []int) {
 // enqueue admits one request to its vertex queue (the Workload emit
 // callback).
 func (s *Sim) enqueue(client int32, vertex int32) {
-	s.queues[vertex].push(request{client: client, arrival: s.tick})
-	s.waiting++
+	s.adapter.Push(int(vertex), request{client: client, arrival: s.tick})
 	s.win.requests++
 	s.tot.requests++
 }
@@ -325,22 +302,10 @@ func (s *Sim) Tick() (bool, error) {
 	t := s.tick
 
 	// (1) Completions (including lease reclaims of vanished clients).
-	w := 0
-	for _, h := range s.active {
-		if h.end <= t {
-			if h.leased {
-				s.leaseExpired++
-			}
-			s.wl.Completed(h.client, h.v, t, s.rng)
-			continue
-		}
-		s.active[w] = h
-		w++
-	}
-	s.active = s.active[:w]
+	s.adapter.Expire(t, s.complete)
 
 	// (2) Arrivals.
-	s.wl.Arrivals(t, s.rng, s.enqueue)
+	s.wl.Arrivals(t, s.rng, s.emit)
 
 	// (3) Safety observation.
 	p := int64(len(s.privList))
@@ -352,31 +317,11 @@ func (s *Sim) Tick() (bool, error) {
 	}
 
 	// (4) Grant issue, in increasing vertex order (deterministic).
-	for _, v := range s.privList {
-		if s.serverBusy(int32(v)) {
-			continue // the occupant is consuming this privilege
-		}
-		if s.queues[v].len() == 0 {
-			s.win.wastedIdle++
-			s.tot.wastedIdle++
-			continue
-		}
-		if len(s.active) >= s.capacity {
-			s.win.wastedBusy++
-			s.tot.wastedBusy++
-			continue
-		}
-		r := s.queues[v].pop()
-		s.waiting--
-		s.active = append(s.active, s.newHold(int32(v), r.client, t))
-		lat := float64(t - r.arrival)
-		s.win.grant(lat)
-		s.tot.grant(lat)
-		s.vGrants[v]++
-		if s.cGrants != nil {
-			s.cGrants[r.client]++
-		}
-	}
+	idle, busy := s.adapter.Issue(s.privList, 0, s.admit)
+	s.win.wastedIdle += int64(idle)
+	s.tot.wastedIdle += int64(idle)
+	s.win.wastedBusy += int64(busy)
+	s.tot.wastedBusy += int64(busy)
 
 	// (5) Protocol step (the hook refreshes the privilege set).
 	progressed, err := s.eng.Step()
@@ -389,15 +334,32 @@ func (s *Sim) Tick() (bool, error) {
 	return true, nil
 }
 
-// newHold prices one grant issued to client at vertex v on tick t: the
-// workload's per-grant hold when it declares one (negative = the client
-// never releases), Options.Hold otherwise, truncated to the lease bound
-// when one is set. An unleased infinite hold ends at the int64 horizon —
-// effectively never, which is exactly the stall a missing lease buys.
-func (s *Sim) newHold(v, client int32, t int64) hold {
+// complete ends one grant at the current tick and notifies its client.
+func (s *Sim) complete(g Grant[hold]) {
+	if g.Data.leased {
+		s.leaseExpired++
+	}
+	s.wl.Completed(g.Data.client, int32(g.V), s.tick, s.rng)
+}
+
+// admit serves request r at vertex v on the current tick and prices the
+// grant: the workload's per-grant hold when it declares one (negative =
+// the client never releases), Options.Hold otherwise, truncated to the
+// lease bound when one is set. An unleased infinite hold ends at the
+// int64 horizon — effectively never, which is exactly the stall a
+// missing lease buys.
+func (s *Sim) admit(v int, r request) (int64, hold) {
+	t := s.tick
+	lat := float64(t - r.arrival)
+	s.win.grant(lat)
+	s.tot.grant(lat)
+	s.vGrants[v]++
+	if s.cGrants != nil {
+		s.cGrants[r.client]++
+	}
 	h := s.hold
 	if s.holdWl != nil {
-		if ht := s.holdWl.HoldTicks(client, s.rng); ht != 0 {
+		if ht := s.holdWl.HoldTicks(r.client, s.rng); ht != 0 {
 			h = ht
 		}
 	}
@@ -410,22 +372,12 @@ func (s *Sim) newHold(v, client int32, t int64) hold {
 		end = t + s.lease
 		leased = true
 	}
-	return hold{v: v, client: client, end: end, leased: leased}
+	return end, hold{client: r.client, leased: leased}
 }
 
 // LeaseExpired returns the number of grants reclaimed at the lease bound
 // rather than released by their hold expiring naturally.
 func (s *Sim) LeaseExpired() int64 { return s.leaseExpired }
-
-// serverBusy reports whether vertex v currently hosts an active grant.
-func (s *Sim) serverBusy(v int32) bool {
-	for _, h := range s.active {
-		if h.v == v {
-			return true
-		}
-	}
-	return false
-}
 
 // Run executes at most ticks service ticks, stopping early on a terminal
 // protocol configuration. It returns the ticks executed by this call.
@@ -444,14 +396,7 @@ func (s *Sim) Run(ticks int) (int, error) {
 // RandomState, injected through the engine's SetConfig (queues, active
 // grants and all service clocks survive; clients observe the aftermath).
 func (s *Sim) InjectBurst(k int) error {
-	if k > s.n {
-		k = s.n
-	}
-	cfg := s.eng.Snapshot()
-	for _, v := range s.rng.Perm(s.n)[:k] {
-		cfg[v] = s.lock.RandomState(v, s.rng)
-	}
-	if err := s.eng.SetConfig(cfg); err != nil {
+	if err := s.eng.SetConfig(sim.Corrupt(s.lock, s.eng.Current(), k, s.rng)); err != nil {
 		return err
 	}
 	s.rescanPriv()

@@ -309,3 +309,29 @@ func runFully(t testing.TB, s *service.Sim, ticks int) error {
 	}
 	return nil
 }
+
+// TestTickZeroAlloc: once warm, a closed-loop tick over SSME under sd —
+// completions, arrivals, the grant pass and the fused engine step —
+// allocates nothing. E13's storms run through this loop.
+func TestTickZeroAlloc(t *testing.T) {
+	if raceDetector {
+		t.Skip("race instrumentation allocates")
+	}
+	const n = 64
+	p, initial := legitRing(t, n)
+	s, err := service.New(p, daemon.NewSynchronous[int](), initial, 3,
+		service.MustClosedLoop(n, 4*n, 0, 7), service.Options{Hold: 2, Lease: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(20000); err != nil {
+		t.Fatal(err)
+	}
+	grants := s.Grants()
+	if allocs := testing.AllocsPerRun(5000, func() { s.Tick() }); allocs != 0 {
+		t.Fatalf("a warm tick allocates %.2f times", allocs)
+	}
+	if s.Grants() == grants {
+		t.Fatal("no grant during the measured ticks")
+	}
+}

@@ -118,65 +118,6 @@ func (w *ClosedLoop) Completed(client int32, _ int32, t int64, rng *rand.Rand) {
 
 var _ Workload = (*ClosedLoop)(nil)
 
-// Killed is the vanished-client injector: it wraps a population and marks
-// the first K clients as doomed — once granted they never release (an
-// infinite hold via the HoldTimer capability) and never rejoin the
-// population after their grant ends. Paired with Options.Lease it is the
-// test harness for lease reclaim: a dead client must lose the lock at the
-// lease horizon without stalling the privilege rotation; without a lease
-// it demonstrates the stall the bound exists to prevent.
-type Killed struct {
-	inner Workload
-	k     int32
-}
-
-// NewKilled wraps wl, dooming clients 0..k-1. The wrapped population must
-// be bounded (closed loop): killing anonymous open-loop arrivals would
-// reclaim nothing distinguishable.
-func NewKilled(wl Workload, k int) (*Killed, error) {
-	if wl.Clients() == 0 {
-		return nil, fmt.Errorf("service: killed-client injection needs a bounded population, %s is open", wl.Name())
-	}
-	if k < 1 || k > wl.Clients() {
-		return nil, fmt.Errorf("service: killed count %d outside 1..%d", k, wl.Clients())
-	}
-	return &Killed{inner: wl, k: int32(k)}, nil
-}
-
-// Name implements Workload.
-func (w *Killed) Name() string { return fmt.Sprintf("killed[%d]/%s", w.k, w.inner.Name()) }
-
-// Clients implements Workload.
-func (w *Killed) Clients() int { return w.inner.Clients() }
-
-// Arrivals implements Workload.
-func (w *Killed) Arrivals(t int64, rng *rand.Rand, emit func(int32, int32)) {
-	w.inner.Arrivals(t, rng, emit)
-}
-
-// Completed implements Workload: dead clients do not come back — their
-// completion is the lease reclaiming the vertex, not a release.
-func (w *Killed) Completed(client int32, v int32, t int64, rng *rand.Rand) {
-	if client < w.k {
-		return
-	}
-	w.inner.Completed(client, v, t, rng)
-}
-
-// HoldTicks implements HoldTimer: doomed clients hold forever; everyone
-// else defers to the configured hold.
-func (w *Killed) HoldTicks(client int32, _ *rand.Rand) int64 {
-	if client < w.k {
-		return -1
-	}
-	return 0
-}
-
-var (
-	_ Workload  = (*Killed)(nil)
-	_ HoldTimer = (*Killed)(nil)
-)
-
 // maxOpenRate bounds the per-tick arrival rate of the open-loop process:
 // the inverse-transform Poisson sampler multiplies uniforms against
 // e^(−λ), which underflows long before this bound but degrades in cost

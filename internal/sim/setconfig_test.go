@@ -16,7 +16,6 @@ import (
 	"specstab/internal/core"
 	"specstab/internal/daemon"
 	"specstab/internal/dijkstra"
-	"specstab/internal/faults"
 	"specstab/internal/graph"
 	"specstab/internal/sim"
 )
@@ -61,7 +60,7 @@ func TestSetConfigBackendsAgree(t *testing.T) {
 	p := core.MustNew(ring)
 	rng := rand.New(rand.NewSource(3))
 	initial := sim.RandomConfig[int](p, rng)
-	inject := faults.Corrupt[int](p, initial, 5, rng)
+	inject := sim.Corrupt[int](p, initial, 5, rng)
 	for _, v := range engineMatrix() {
 		setConfigLockstep[int](t, v.name, p, v.opts, v.rescan, initial, inject, 25, 60)
 	}
@@ -76,7 +75,7 @@ func TestSetConfigMatchesFreshEngine(t *testing.T) {
 	p := dijkstra.MustNew(8, 8)
 	rng := rand.New(rand.NewSource(5))
 	initial := sim.RandomConfig[int](p, rng)
-	inject := faults.Corrupt[int](p, initial, 8, rng)
+	inject := sim.Corrupt[int](p, initial, 8, rng)
 
 	live := sim.MustEngine[int](p, daemon.NewSynchronous[int](), initial, 1)
 	if _, err := live.Run(10, nil); err != nil {
@@ -116,5 +115,59 @@ func TestSetConfigRejectsWrongLength(t *testing.T) {
 	}
 	if !e.Current().Equal(before) {
 		t.Fatal("failed SetConfig must not modify the configuration")
+	}
+}
+
+func TestCorruptRespectsDomainAndCount(t *testing.T) {
+	t.Parallel()
+	g := graph.Ring(9)
+	p := core.MustNew(g)
+	base, err := p.UniformConfig(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, k := range []int{0, 1, 4, 9, 100} {
+		got := sim.Corrupt[int](p, base, k, rng)
+		if len(got) != g.N() {
+			t.Fatalf("k=%d: wrong length", k)
+		}
+		changed := 0
+		for v := range got {
+			if err := p.Clock().Validate(got[v]); err != nil {
+				t.Fatalf("k=%d: corrupted value out of domain: %v", k, err)
+			}
+			if got[v] != base[v] {
+				changed++
+			}
+		}
+		max := k
+		if max > g.N() {
+			max = g.N()
+		}
+		if changed > max {
+			t.Errorf("k=%d: %d registers changed, more than corrupted", k, changed)
+		}
+		// The original must be untouched.
+		for v := range base {
+			if base[v] != 0 {
+				t.Fatal("Corrupt mutated its input")
+			}
+		}
+	}
+}
+
+func TestCorruptDeterministicForSeed(t *testing.T) {
+	t.Parallel()
+	g := graph.Ring(8)
+	p := core.MustNew(g)
+	base, err := p.UniformConfig(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := sim.Corrupt[int](p, base, 4, rand.New(rand.NewSource(9)))
+	b := sim.Corrupt[int](p, base, 4, rand.New(rand.NewSource(9)))
+	if !a.Equal(b) {
+		t.Error("same seed must corrupt identically")
 	}
 }

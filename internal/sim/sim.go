@@ -141,6 +141,22 @@ func RandomConfig[S comparable](p Protocol[S], rng *rand.Rand) Config[S] {
 	return cfg
 }
 
+// Corrupt returns a copy of c with k distinct randomly chosen registers
+// replaced by arbitrary domain values — a transient fault burst. k is
+// clamped to n. A corrupted register may coincidentally receive its old
+// value: transient faults are allowed to be harmless.
+func Corrupt[S comparable](p Protocol[S], c Config[S], k int, rng *rand.Rand) Config[S] {
+	out := c.Clone()
+	n := p.N()
+	if k > n {
+		k = n
+	}
+	for _, v := range rng.Perm(n)[:k] {
+		out[v] = p.RandomState(v, rng)
+	}
+	return out
+}
+
 // Enabled returns the vertices with an enabled rule in c, in increasing
 // order, appending to dst (pass nil to allocate).
 func Enabled[S comparable](p Protocol[S], c Config[S], dst []int) []int {
