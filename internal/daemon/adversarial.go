@@ -47,7 +47,7 @@ func NewLookahead[S comparable](p sim.Protocol[S], potential Potential[S], sampl
 func (d *Lookahead[S]) Name() string { return "ud/greedy-lookahead" }
 
 // Select implements sim.Daemon.
-func (d *Lookahead[S]) Select(c sim.Config[S], enabled []int, rng *rand.Rand) []int {
+func (d *Lookahead[S]) Select(c sim.Config[S], enabled []int, rng *rand.Rand, dst []int) []int {
 	var (
 		best      []int
 		bestScore float64
@@ -84,7 +84,7 @@ func (d *Lookahead[S]) Select(c sim.Config[S], enabled []int, rng *rand.Rand) []
 			consider(subset)
 		}
 	}
-	return best
+	return append(dst, best...)
 }
 
 // score computes the potential of the successor of c under selection sel.

@@ -71,7 +71,7 @@ func TestLookaheadSelectsEnabledSubsets(t *testing.T) {
 		if len(enabled) == 0 {
 			break
 		}
-		sel := d.Select(cfg, enabled, rng)
+		sel := d.Select(cfg, enabled, rng, nil)
 		checkSubset(t, sel, enabled)
 		// Fire the selection like the engine would.
 		next := cfg.Clone()
@@ -129,7 +129,7 @@ func TestGreedyCentralMaximizesPotential(t *testing.T) {
 		if len(enabled) == 0 {
 			continue
 		}
-		sel := d.Select(cfg, enabled, rng)
+		sel := d.Select(cfg, enabled, rng, nil)
 		checkSubset(t, sel, enabled)
 		if len(sel) != 1 {
 			t.Fatalf("central daemon selected %d vertices", len(sel))
@@ -172,7 +172,7 @@ func TestRulePriorityCentralOrdering(t *testing.T) {
 		if len(enabled) == 0 {
 			continue
 		}
-		sel := d.Select(cfg, enabled, rng)
+		sel := d.Select(cfg, enabled, rng, nil)
 		checkSubset(t, sel, enabled)
 		bestPrio := int(^uint(0) >> 1)
 		for _, v := range enabled {
@@ -201,7 +201,7 @@ func TestLookaheadTieBreaksTowardFewerMoves(t *testing.T) {
 	if len(enabled) < 2 {
 		t.Skip("need at least two enabled vertices for a tie")
 	}
-	sel := d.Select(cfg, enabled, rng)
+	sel := d.Select(cfg, enabled, rng, nil)
 	checkSubset(t, sel, enabled)
 	if len(sel) != 1 {
 		t.Fatalf("constant potential must tie-break to a single move, got %d", len(sel))

@@ -33,8 +33,8 @@ func NewSynchronous[S comparable]() Synchronous[S] { return Synchronous[S]{} }
 func (Synchronous[S]) Name() string { return "sd" }
 
 // Select implements sim.Daemon: all enabled vertices fire.
-func (Synchronous[S]) Select(_ sim.Config[S], enabled []int, _ *rand.Rand) []int {
-	return enabled
+func (Synchronous[S]) Select(_ sim.Config[S], enabled []int, _ *rand.Rand, dst []int) []int {
+	return append(dst, enabled...)
 }
 
 // FiresAllEnabled implements sim.FiresAll: the engine fires the enabled
@@ -68,8 +68,8 @@ func NewCentral[S comparable](name string, choose Chooser[S]) *Central[S] {
 func (d *Central[S]) Name() string { return "cd/" + d.name }
 
 // Select implements sim.Daemon.
-func (d *Central[S]) Select(c sim.Config[S], enabled []int, rng *rand.Rand) []int {
-	return []int{enabled[d.choose(c, enabled, rng)]}
+func (d *Central[S]) Select(c sim.Config[S], enabled []int, rng *rand.Rand, dst []int) []int {
+	return append(dst, enabled[d.choose(c, enabled, rng)])
 }
 
 var _ sim.Daemon[int] = (*Central[int])(nil)
@@ -112,16 +112,16 @@ func NewRoundRobin[S comparable](n int) *RoundRobin[S] {
 func (d *RoundRobin[S]) Name() string { return "cd/round-robin" }
 
 // Select implements sim.Daemon.
-func (d *RoundRobin[S]) Select(_ sim.Config[S], enabled []int, _ *rand.Rand) []int {
+func (d *RoundRobin[S]) Select(_ sim.Config[S], enabled []int, _ *rand.Rand, dst []int) []int {
 	// enabled is sorted; find first id > last, wrapping around.
 	for _, v := range enabled {
 		if v > d.last {
 			d.last = v
-			return []int{v}
+			return append(dst, v)
 		}
 	}
 	d.last = enabled[0]
-	return []int{enabled[0]}
+	return append(dst, enabled[0])
 }
 
 var _ sim.Daemon[int] = (*RoundRobin[int])(nil)
@@ -147,14 +147,14 @@ func NewDistributed[S comparable](p float64) Distributed[S] {
 func (d Distributed[S]) Name() string { return fmt.Sprintf("ud/distributed-p%.2f", d.P) }
 
 // Select implements sim.Daemon.
-func (d Distributed[S]) Select(_ sim.Config[S], enabled []int, rng *rand.Rand) []int {
-	out := make([]int, 0, len(enabled))
+func (d Distributed[S]) Select(_ sim.Config[S], enabled []int, rng *rand.Rand, dst []int) []int {
+	out := dst
 	for _, v := range enabled {
 		if rng.Float64() < d.P {
 			out = append(out, v)
 		}
 	}
-	if len(out) == 0 {
+	if len(out) == len(dst) {
 		out = append(out, enabled[rng.Intn(len(enabled))])
 	}
 	return out

@@ -41,7 +41,7 @@ func TestSynchronousSelectsAll(t *testing.T) {
 	t.Parallel()
 	d := NewSynchronous[int]()
 	c := sim.Config[int]{0, 1, 0, 0}
-	got := d.Select(c, enabledOf(c), nil)
+	got := d.Select(c, enabledOf(c), nil, nil)
 	if len(got) != 3 {
 		t.Fatalf("sd selected %v", got)
 	}
@@ -82,7 +82,7 @@ func TestCentralPoliciesPickExactlyOneEnabled(t *testing.T) {
 			if len(enabled) == 0 {
 				return true
 			}
-			sel := d.Select(c, enabled, rng)
+			sel := d.Select(c, enabled, rng, nil)
 			if len(sel) != 1 {
 				return false
 			}
@@ -103,10 +103,10 @@ func TestMinMaxIDChoices(t *testing.T) {
 	t.Parallel()
 	c := sim.Config[int]{0, 1, 0, 0, 1}
 	enabled := enabledOf(c) // {0, 2, 3}
-	if got := NewMinIDCentral[int]().Select(c, enabled, nil); got[0] != 0 {
+	if got := NewMinIDCentral[int]().Select(c, enabled, nil, nil); got[0] != 0 {
 		t.Errorf("min-id selected %v", got)
 	}
-	if got := NewMaxIDCentral[int]().Select(c, enabled, nil); got[0] != 3 {
+	if got := NewMaxIDCentral[int]().Select(c, enabled, nil, nil); got[0] != 3 {
 		t.Errorf("max-id selected %v", got)
 	}
 }
@@ -118,7 +118,7 @@ func TestRoundRobinIsFair(t *testing.T) {
 	enabled := []int{0, 1, 2, 3, 4}
 	var order []int
 	for i := 0; i < 10; i++ {
-		order = append(order, d.Select(c, enabled, nil)[0])
+		order = append(order, d.Select(c, enabled, nil, nil)[0])
 	}
 	for i, v := range order {
 		if v != i%5 {
@@ -127,13 +127,13 @@ func TestRoundRobinIsFair(t *testing.T) {
 	}
 	// Skips disabled ids and wraps.
 	d2 := NewRoundRobin[int](5)
-	if got := d2.Select(c, []int{2, 4}, nil)[0]; got != 2 {
+	if got := d2.Select(c, []int{2, 4}, nil, nil)[0]; got != 2 {
 		t.Errorf("first pick %d, want 2", got)
 	}
-	if got := d2.Select(c, []int{2, 4}, nil)[0]; got != 4 {
+	if got := d2.Select(c, []int{2, 4}, nil, nil)[0]; got != 4 {
 		t.Errorf("second pick %d, want 4", got)
 	}
-	if got := d2.Select(c, []int{2, 4}, nil)[0]; got != 2 {
+	if got := d2.Select(c, []int{2, 4}, nil, nil)[0]; got != 2 {
 		t.Errorf("wrap pick %d, want 2", got)
 	}
 }
@@ -145,7 +145,7 @@ func TestDistributedSelectsNonEmptySubset(t *testing.T) {
 	c := sim.Config[int]{0, 0, 0, 0, 0, 0}
 	enabled := enabledOf(c)
 	for i := 0; i < 500; i++ {
-		sel := d.Select(c, enabled, rng)
+		sel := d.Select(c, enabled, rng, nil)
 		if len(sel) == 0 {
 			t.Fatal("empty selection")
 		}
@@ -185,7 +185,7 @@ func TestGreedyCentralMaximizesPotential(t *testing.T) {
 	}
 	d := NewGreedyCentral[int](p, potential)
 	c := sim.Config[int]{0, 0, 0, 0}
-	if got := d.Select(c, enabledOf(c), nil)[0]; got != 2 {
+	if got := d.Select(c, enabledOf(c), nil, nil)[0]; got != 2 {
 		t.Errorf("greedy selected %d, want 2", got)
 	}
 }
@@ -200,7 +200,7 @@ func TestLookaheadPrefersWorstSuccessor(t *testing.T) {
 	d := NewLookahead[int](p, potential, 4)
 	rng := rand.New(rand.NewSource(3))
 	c := sim.Config[int]{0, 1, 1, 0}
-	sel := d.Select(c, enabledOf(c), rng)
+	sel := d.Select(c, enabledOf(c), rng, nil)
 	if len(sel) != 1 || sel[0] != 0 {
 		t.Errorf("lookahead selected %v, want [0]", sel)
 	}
@@ -213,7 +213,7 @@ func TestLookaheadTieBreaksSmall(t *testing.T) {
 	d := NewLookahead[int](p, flat, 2)
 	rng := rand.New(rand.NewSource(4))
 	c := sim.Config[int]{0, 0, 0}
-	if sel := d.Select(c, enabledOf(c), rng); len(sel) != 1 {
+	if sel := d.Select(c, enabledOf(c), rng, nil); len(sel) != 1 {
 		t.Errorf("flat potential should yield a singleton (maximally unfair), got %v", sel)
 	}
 }
@@ -235,6 +235,46 @@ func TestNames(t *testing.T) {
 	for want, d := range names {
 		if d.Name() != want {
 			t.Errorf("name %q, want %q", d.Name(), want)
+		}
+	}
+}
+
+// TestSelectAppendsToDst pins the sim.Daemon buffer contract for every
+// daemon: Select appends to dst, leaving its prefix intact, and chooses
+// what it would have chosen into a nil dst from the same generator state.
+// Stateful daemons get a fresh instance per call.
+func TestSelectAppendsToDst(t *testing.T) {
+	t.Parallel()
+	p := &toyProtocol{n: 8}
+	zeros := func(c sim.Config[int]) float64 { return float64(len(enabledOf(c))) }
+	makers := []func() sim.Daemon[int]{
+		func() sim.Daemon[int] { return NewSynchronous[int]() },
+		func() sim.Daemon[int] { return NewRandomCentral[int]() },
+		func() sim.Daemon[int] { return NewMaxIDCentral[int]() },
+		func() sim.Daemon[int] { return NewRoundRobin[int](8) },
+		func() sim.Daemon[int] { return NewDistributed[int](0.5) },
+		func() sim.Daemon[int] { return NewLookahead[int](p, zeros, 3) },
+		func() sim.Daemon[int] { return NewGreedyCentral[int](p, zeros) },
+		func() sim.Daemon[int] { return NewRulePriorityCentral[int](p, map[sim.Rule]int{ruleSet: 0}) },
+		func() sim.Daemon[int] { return NewRecorded[int]([][]int{{1, 5}}) },
+	}
+	c := sim.Config[int]{0, 0, 1, 0, 1, 0, 0, 1}
+	enabled := enabledOf(c)
+	for _, mk := range makers {
+		want := mk().Select(c, enabled, rand.New(rand.NewSource(9)), nil)
+		dst := append(make([]int, 0, 16), -1, -2)
+		got := mk().Select(c, enabled, rand.New(rand.NewSource(9)), dst)
+		name := mk().Name()
+		if len(got) != 2+len(want) || got[0] != -1 || got[1] != -2 {
+			t.Fatalf("%s: Select into [-1 -2] returned %v, want the prefix then %v", name, got, want)
+		}
+		if &got[0] != &dst[0] {
+			t.Errorf("%s: Select did not append in place into a dst with spare capacity", name)
+		}
+		for i, v := range want {
+			if got[2+i] != v {
+				t.Fatalf("%s: Select into [-1 -2] chose %v, into nil %v", name, got[2:], want)
+			}
 		}
 	}
 }

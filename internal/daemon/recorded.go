@@ -35,15 +35,15 @@ func (d *Recorded[S]) Name() string {
 }
 
 // Select implements sim.Daemon: the next recorded selection, verbatim. An
-// exhausted schedule returns nil, which the engine rejects as an empty
+// exhausted schedule appends nothing, which the engine rejects as an empty
 // selection — stepping past the recording is a caller bug, not a replay.
-func (d *Recorded[S]) Select(_ sim.Config[S], _ []int, _ *rand.Rand) []int {
+func (d *Recorded[S]) Select(_ sim.Config[S], _ []int, _ *rand.Rand, dst []int) []int {
 	if d.next >= len(d.schedule) {
-		return nil
+		return dst
 	}
 	sel := d.schedule[d.next]
 	d.next++
-	return sel
+	return append(dst, sel...)
 }
 
 // Consumed returns the number of schedule entries replayed so far.

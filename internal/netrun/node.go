@@ -306,41 +306,44 @@ func (nd *Node) Connect() error {
 
 // checkHello reads and validates the hello a dialed peer answers with.
 func (nd *Node) checkHello(c *Conn, want int, specHash uint64, patience time.Duration) error {
-	p, err := c.RecvPatient(patience)
-	if err != nil {
-		return fmt.Errorf("netrun: node %d: hello from peer %d: %w", nd.id, want, err)
-	}
-	f, err := DecodeFrame(p)
+	h, err := nd.readHello(c, fmt.Sprintf("hello from peer %d", want), fmt.Sprintf("peer %d", want), patience)
 	if err != nil {
 		return err
 	}
-	if f.Kind != KindHello {
-		return fmt.Errorf("netrun: peer %d opened with a %s frame, not hello", want, f.Kind)
-	}
-	return nd.validateHello(f.Hello, want, specHash)
+	return nd.validateHello(h, want, specHash)
 }
 
 // acceptHello reads an inbound hello and returns the peer's id.
 func (nd *Node) acceptHello(c *Conn, specHash uint64, patience time.Duration) (int, error) {
-	p, err := c.RecvPatient(patience)
-	if err != nil {
-		return 0, fmt.Errorf("netrun: node %d: inbound hello: %w", nd.id, err)
-	}
-	f, err := DecodeFrame(p)
+	h, err := nd.readHello(c, "inbound hello", "inbound connection", patience)
 	if err != nil {
 		return 0, err
 	}
-	if f.Kind != KindHello {
-		return 0, fmt.Errorf("netrun: inbound connection opened with a %s frame, not hello", f.Kind)
-	}
-	j := int(f.Hello.Node)
+	j := int(h.Node)
 	if j <= nd.id || j >= nd.nodes {
 		return 0, fmt.Errorf("netrun: inbound hello claims node %d; node %d accepts only ids in (%d, %d)", j, nd.id, nd.id, nd.nodes)
 	}
 	if nd.peers[j] != nil {
 		return 0, fmt.Errorf("netrun: node %d connected twice", j)
 	}
-	return j, nd.validateHello(f.Hello, j, specHash)
+	return j, nd.validateHello(h, j, specHash)
+}
+
+// readHello reads a connection's opening frame and checks that it is a
+// hello. what names the awaited frame and who its sender, in errors.
+func (nd *Node) readHello(c *Conn, what, who string, patience time.Duration) (Hello, error) {
+	p, err := c.RecvPatient(patience)
+	if err != nil {
+		return Hello{}, fmt.Errorf("netrun: node %d: %s: %w", nd.id, what, err)
+	}
+	f, err := DecodeFrame(p)
+	if err != nil {
+		return Hello{}, err
+	}
+	if f.Kind != KindHello {
+		return Hello{}, fmt.Errorf("netrun: %s opened with a %s frame, not hello", who, f.Kind)
+	}
+	return f.Hello, nil
 }
 
 func (nd *Node) validateHello(h Hello, want int, specHash uint64) error {

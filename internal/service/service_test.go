@@ -310,28 +310,38 @@ func runFully(t testing.TB, s *service.Sim, ticks int) error {
 	return nil
 }
 
-// TestTickZeroAlloc: once warm, a closed-loop tick over SSME under sd —
-// completions, arrivals, the grant pass and the fused engine step —
-// allocates nothing. E13's storms run through this loop.
+// TestTickZeroAlloc: once warm, a closed-loop tick — completions,
+// arrivals, the grant pass and the engine step — allocates nothing. SSME
+// under sd takes the fused engine step, Dijkstra's legitimate token ring
+// the general one (one enabled vertex per step). E13's storms run through
+// this loop.
 func TestTickZeroAlloc(t *testing.T) {
 	if raceDetector {
 		t.Skip("race instrumentation allocates")
 	}
 	const n = 64
-	p, initial := legitRing(t, n)
-	s, err := service.New(p, daemon.NewSynchronous[int](), initial, 3,
-		service.MustClosedLoop(n, 4*n, 0, 7), service.Options{Hold: 2, Lease: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(20000); err != nil {
-		t.Fatal(err)
-	}
-	grants := s.Grants()
-	if allocs := testing.AllocsPerRun(5000, func() { s.Tick() }); allocs != 0 {
-		t.Fatalf("a warm tick allocates %.2f times", allocs)
-	}
-	if s.Grants() == grants {
-		t.Fatal("no grant during the measured ticks")
+	ssme, initial := legitRing(t, n)
+	for _, c := range []struct {
+		name string
+		p    service.Lock
+	}{
+		{"ssme", ssme},
+		{"dijkstra", dijkstra.MustNew(n, n)},
+	} {
+		s, err := service.New(c.p, daemon.NewSynchronous[int](), initial, 3,
+			service.MustClosedLoop(n, 4*n, 0, 7), service.Options{Hold: 2, Lease: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(20000); err != nil {
+			t.Fatal(err)
+		}
+		grants := s.Grants()
+		if allocs := testing.AllocsPerRun(5000, func() { s.Tick() }); allocs != 0 {
+			t.Errorf("%s: a warm tick allocates %.2f times", c.name, allocs)
+		}
+		if s.Grants() == grants {
+			t.Errorf("%s: no grant during the measured ticks", c.name)
+		}
 	}
 }

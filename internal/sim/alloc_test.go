@@ -1,8 +1,12 @@
 package sim_test
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
+	"specstab/internal/daemon"
+	"specstab/internal/dijkstra"
 	"specstab/internal/sim"
 )
 
@@ -44,5 +48,130 @@ func TestFusedStepZeroAlloc(t *testing.T) {
 			t.Errorf("workers=%d: Select called %d times on a daemon declaring sim.FiresAll", workers, d.selects)
 		}
 		e.Close()
+	}
+}
+
+// TestFusedPartialStepZeroAlloc covers the other fused variant: from a
+// random start, sd on the odd unison 257-ring fires a dense but partial
+// front (about 150 to 200 vertices) for hundreds of steps, and the front
+// grows a vertex every few steps. Such a step allocates nothing once warm,
+// and the staging buffer that follows the growing front is not
+// reallocated at every new maximum. At Workers 2 with ShardSize 1 both
+// epochs run on the pool.
+func TestFusedPartialStepZeroAlloc(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates on its own")
+	}
+	const n = 257
+	p := unisonRing(t, n)
+	initial := sim.RandomConfig(p, rand.New(rand.NewSource(1)))
+	for _, opts := range []sim.Options{{Workers: 1}, {Workers: 2, ShardSize: 1}} {
+		e, err := sim.NewEngineWith(p, daemon.NewSynchronous[int](), initial, 1, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drive(t, e, 10)
+		notPartial := 0
+		// One run of 100 steps after a warm-up run of 100: the count is
+		// the exact total, so a reallocation at any step shows.
+		allocs := testing.AllocsPerRun(1, func() {
+			for range 100 {
+				k := len(e.Enabled())
+				if _, err := e.Step(); err != nil {
+					t.Fatal(err)
+				}
+				if k == n || 4*k < n {
+					notPartial++
+				}
+			}
+		})
+		if notPartial != 0 {
+			t.Fatalf("workers=%d: %d measured steps were not partial fused steps", opts.Workers, notPartial)
+		}
+		if allocs != 0 {
+			t.Errorf("workers=%d: %.0f allocs in 100 warm partial steps, want 0", opts.Workers, allocs)
+		}
+		e.Close()
+	}
+}
+
+// TestGeneralStepZeroAlloc extends the contract to the general step, the
+// path of every daemon that is asked to Select and of sparse sd fronts: a
+// warm Step allocates nothing. Dijkstra's legitimate 64-ring passes one
+// token (one selected vertex, a two-vertex dirty set), so sd stays on the
+// general path there; the unison 64-ring keeps a wide front, so the
+// distributed daemon selects dozens of vertices and the central daemons
+// dirty three per step. At Workers 2 with ShardSize 1 the dirty refresh
+// and, on the wide selections, the evaluate and commit phases run on the
+// pool. Each case also runs on a full-rescan engine (DisableIncremental),
+// whose Step rebuilds the enabled list with sharded guard sweeps. The
+// first Select seeds the engine's generator; the warm-up pays for it and
+// for growing the scratch buffers to the widest selection.
+func TestGeneralStepZeroAlloc(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates on its own")
+	}
+	const n = 64
+	protocols := []struct {
+		name string
+		p    sim.Protocol[int]
+	}{
+		{"dijkstra", dijkstra.MustNew(n, n)},
+		{"unison", unisonRing(t, n)},
+	}
+	daemons := []struct {
+		name string
+		mk   func() sim.Daemon[int]
+	}{
+		{"sd", func() sim.Daemon[int] { return daemon.NewSynchronous[int]() }},
+		{"random-central", func() sim.Daemon[int] { return daemon.NewRandomCentral[int]() }},
+		{"round-robin", func() sim.Daemon[int] { return daemon.NewRoundRobin[int](n) }},
+		{"distributed", func() sim.Daemon[int] { return daemon.NewDistributed[int](0.5) }},
+	}
+	for _, pc := range protocols {
+		for _, dc := range daemons {
+			for _, opts := range []sim.Options{{Workers: 1}, {Workers: 2, ShardSize: 1}} {
+				for _, incremental := range []bool{true, false} {
+					sd := dc.name == "sd" && incremental
+					if sd && pc.name == "unison" {
+						continue // the fused step: TestFusedStepZeroAlloc
+					}
+					name := fmt.Sprintf("%s/%s/workers=%d/incremental=%v", pc.name, dc.name, opts.Workers, incremental)
+					e, err := sim.NewEngineWith(pc.p, dc.mk(), make(sim.Config[int], n), 1, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !incremental {
+						e.DisableIncremental()
+					}
+					measureWarmStep(t, name, e, sd)
+					e.Close()
+				}
+			}
+		}
+	}
+}
+
+// measureWarmStep warms e up and fails t unless a further Step allocates
+// nothing. sparse asserts that an incremental sd engine's front stays off
+// the fused path.
+func measureWarmStep(t *testing.T, name string, e *sim.Engine[int], sparse bool) {
+	t.Helper()
+	n := e.Protocol().N()
+	drive(t, e, 200)
+	if sparse && 4*len(e.Enabled()) >= n {
+		t.Fatalf("%s: %d of %d vertices enabled, not a sparse front", name, len(e.Enabled()), n)
+	}
+	steps := e.Steps()
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if e.Steps() == steps {
+		t.Fatalf("%s: no step taken while measuring", name)
+	}
+	if allocs != 0 {
+		t.Errorf("%s: %.2f allocs per warm step, want 0", name, allocs)
 	}
 }

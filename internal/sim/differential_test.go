@@ -215,7 +215,7 @@ func (r *refStepper[S]) step() (rec stepRecord, ok bool, err error) {
 	if len(enabled) == 0 {
 		return stepRecord{}, false, nil
 	}
-	sel := append([]int(nil), r.d.Select(r.cfg, enabled, r.rng)...)
+	sel := r.d.Select(r.cfg, enabled, r.rng, nil)
 	if len(sel) == 0 {
 		return stepRecord{}, false, fmt.Errorf("reference: %s returned an empty selection", r.d.Name())
 	}

@@ -51,8 +51,8 @@ type HookID int
 // Engine drives one execution of a protocol under a daemon from a given
 // initial configuration. It is deterministic: given the same protocol,
 // daemon, initial configuration and seed, it replays the same execution
-// (daemon randomness is drawn from the engine's seeded generator) — for
-// every worker count and shard size.
+// (daemon randomness is drawn from the engine's seeded generator, built at
+// the first Select) — for every worker count and shard size.
 //
 // When the protocol declares its guard read-sets (the Local capability),
 // the engine maintains the enabled set incrementally: after each step only
@@ -64,12 +64,14 @@ type HookID int
 // The engine runs on the protocol's Flat capability (see flat.go), which
 // every protocol must provide: it packs the configuration into a []int64
 // array and evaluates guards and moves with batch kernels — no per-guard
-// interface dispatch, no per-step allocation. Each step is
-// double-buffered: the evaluate phase computes every next state from the
-// frozen packed front buffer (in parallel, contiguous shard by contiguous
-// shard, when the selection is large enough), and only after all shards
-// join does the commit phase merge the staged states back in shard order —
-// which is why executions are identical for every worker count and match
+// interface dispatch, and no allocation by the engine in a warm step on
+// any path, fused or general, incremental or not (the ZeroAlloc tests; a
+// daemon's Select and the hooks may still allocate their own). Each step
+// is double-buffered: the evaluate phase computes every next state from
+// the frozen packed front buffer (in parallel, contiguous shard by
+// contiguous shard, when the selection is large enough), and only after
+// all shards join does the commit phase merge the staged states back in
+// shard order — which is why executions are identical for every worker count and match
 // the sequential reference stepper of the differential tests.
 //
 // The decoded Config[S] that Current returns is a shadow of the packed
@@ -79,7 +81,12 @@ type Engine[S comparable] struct {
 	p   Protocol[S]
 	d   Daemon[S]
 	cfg Config[S]
-	rng *rand.Rand
+
+	// The daemon's generator is seeded from seed at the first Select
+	// (random): seeding math/rand costs more than many steps, and an sd
+	// engine never draws.
+	seed int64
+	rng  *rand.Rand
 
 	steps int
 	moves int
@@ -148,14 +155,21 @@ type Engine[S comparable] struct {
 	runs    []enabledRun
 
 	// Hoisted shard bodies: method values bound once at construction, so
-	// dispatching the dense synchronous step's shards — and handing an
-	// epoch to the pool — allocates nothing (a closure literal passed to
-	// forShards escapes and is heap-allocated on every call). job is the
-	// epoch forShards is running; runJob reads it.
-	job           shardJob
-	runJob        func(shard int)
-	applyAllFn    func(shard, lo, hi int)
-	refreshFlatFn func(shard, lo, hi int)
+	// dispatching a step's shards — and handing an epoch to the pool —
+	// allocates nothing (a closure literal passed to forShards escapes and
+	// is heap-allocated on every call). job is the epoch forShards is
+	// running; runJob reads it. activated is the partial-firing fused
+	// step's selection, which applyPartialFn reads.
+	job            shardJob
+	runJob         func(shard int)
+	applyAllFn     func(shard, lo, hi int)
+	applyPartialFn func(shard, lo, hi int)
+	refreshFlatFn  func(shard, lo, hi int)
+	refreshDirtyFn func(shard, lo, hi int)
+	rescanFn       func(shard, lo, hi int)
+	evalFn         func(shard, lo, hi int)
+	commitFn       func(shard, lo, hi int)
+	activated      []int
 
 	// guardEvals counts EnabledRule evaluations made by the engine itself
 	// (rescans, incremental refreshes, rule lookups, round settlement),
@@ -229,7 +243,7 @@ func NewEngineWith[S comparable](p Protocol[S], d Daemon[S], initial Config[S], 
 		st:         make([]int64, n*w),
 		allVerts:   make([]int, n),
 		cfg:        initial.Clone(),
-		rng:        rand.New(rand.NewSource(seed)),
+		seed:       seed,
 		enabledOwn: make([]int, 0, n),
 		sd:         firesAll(d),
 		workers:    workers,
@@ -239,7 +253,12 @@ func NewEngineWith[S comparable](p Protocol[S], d Daemon[S], initial Config[S], 
 	}
 	e.runJob = e.runShardJob
 	e.applyAllFn = e.applyAllShard
+	e.applyPartialFn = e.applyPartialShard
 	e.refreshFlatFn = e.refreshFlatShard
+	e.refreshDirtyFn = e.refreshDirtyShard
+	e.rescanFn = e.rescanShard
+	e.evalFn = e.evalShard
+	e.commitFn = e.commitShard
 	if workers > 1 {
 		if opts.Pool != nil {
 			e.pool = opts.Pool
@@ -395,12 +414,16 @@ func (e *Engine[S]) rescan() []int {
 	e.allRules = growSlice(e.allRules, n)
 	e.enabledOwn = growSlice(e.enabledOwn, n)
 	e.collect = e.enabledOwn
-	shards := e.forShards(n, func(sh, lo, hi int) {
-		e.fl.EnabledRuleFlat(e.st, e.w, 0, e.allVerts[lo:hi], e.allRules[lo:hi])
-		e.collectRun(sh, lo, e.allRules[lo:hi])
-	})
+	shards := e.forShards(n, e.rescanFn)
 	e.enabled = e.compactRuns(shards)
 	return e.enabled
+}
+
+// rescanShard is rescan's shard body: evaluate the guards of [lo, hi) into
+// allRules and collect the enabled ones.
+func (e *Engine[S]) rescanShard(sh, lo, hi int) {
+	e.fl.EnabledRuleFlat(e.st, e.w, 0, e.allVerts[lo:hi], e.allRules[lo:hi])
+	e.collectRun(sh, lo, e.allRules[lo:hi])
 }
 
 // startRound charges the current enabled set to the new round. A fully
@@ -666,9 +689,7 @@ func (e *Engine[S]) refreshEnabled(activated []int) {
 	}
 	e.guardEvals += int64(k)
 	e.dirtyRules = growSlice(e.dirtyRules, k)
-	e.forShards(k, func(_, lo, hi int) {
-		e.fl.EnabledRuleFlat(e.st, e.w, 0, e.dirty[lo:hi], e.dirtyRules[lo:hi])
-	})
+	e.forShards(k, e.refreshDirtyFn)
 	for i, u := range e.dirty {
 		e.ruleOf[u] = e.dirtyRules[i]
 		e.dirtyMark[u] = false
@@ -706,6 +727,12 @@ func (e *Engine[S]) refreshEnabled(activated []int) {
 	e.installEnabled(out)
 }
 
+// refreshDirtyShard is refreshEnabled's shard body: re-evaluate the guards
+// of dirty[lo:hi] into dirtyRules.
+func (e *Engine[S]) refreshDirtyShard(_, lo, hi int) {
+	e.fl.EnabledRuleFlat(e.st, e.w, 0, e.dirty[lo:hi], e.dirtyRules[lo:hi])
+}
+
 // ErrDaemonSelection reports a daemon returning an empty or invalid
 // selection — a bug in the daemon, not a property of the protocol.
 var ErrDaemonSelection = errors.New("sim: daemon returned an invalid selection")
@@ -733,14 +760,14 @@ func (e *Engine[S]) Step() (bool, error) {
 	if e.sd && e.loc != nil && 4*len(enabled) >= e.p.N() {
 		return e.stepFused(enabled)
 	}
-	sel := enabled
-	if !e.sd {
-		sel = e.d.Select(e.Current(), enabled, e.rng)
-		if len(sel) == 0 {
+	if e.sd {
+		e.selected = append(e.selected[:0], enabled...)
+	} else {
+		e.selected = e.d.Select(e.Current(), enabled, e.random(), e.selected[:0])
+		if len(e.selected) == 0 {
 			return false, fmt.Errorf("%w: empty selection by %s", ErrDaemonSelection, e.d.Name())
 		}
 	}
-	e.selected = append(e.selected[:0], sel...)
 	if !sort.IntsAreSorted(e.selected) {
 		// Daemons normally select in increasing id order (StepInfo
 		// documents it); normalize the rare exception so the sorted-merge
@@ -761,6 +788,16 @@ func (e *Engine[S]) Step() (bool, error) {
 	return true, nil
 }
 
+// random returns the daemon's generator, seeding it on first use. Nothing
+// else draws from it, so it yields the stream an eagerly seeded generator
+// would.
+func (e *Engine[S]) random() *rand.Rand {
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(e.seed))
+	}
+	return e.rng
+}
+
 // stepFused executes one dense synchronous transition in a single sharded
 // pass over the packed buffer: each shard reads the rules of its activated
 // vertices straight from the maintained ruleOf table (every activated
@@ -771,8 +808,8 @@ func (e *Engine[S]) Step() (bool, error) {
 // pass, with a buffer swap where the general path scatters staged words
 // back. The decoded shadow is only marked stale (Current decodes it on
 // read). The refreshDense rebuild is the step's second and last epoch;
-// below the shard size both run inline, and a full-firing step allocates
-// nothing (TestFusedStepZeroAlloc). The observable execution — selection,
+// below the shard size both run inline, and a warm step allocates nothing
+// (TestFusedStepZeroAlloc, TestFusedPartialStepZeroAlloc). The observable execution — selection,
 // rules, counters, guard-evaluation accounting (+N from the refreshDense
 // rebuild, as on the general dense path), hook order — is bitwise
 // identical to the general path; the differential matrix pins this.
@@ -797,23 +834,9 @@ func (e *Engine[S]) stepFused(activated []int) (bool, error) {
 		// positions, then interleaves gap copies and staged words into the
 		// back buffer.
 		e.nextW = growSlice(e.nextW, k*w)
-		e.forShards(n, func(_, lo, hi int) {
-			a := sort.SearchInts(activated, lo)
-			b := sort.SearchInts(activated, hi)
-			sub := activated[a:b]
-			rules := e.rules[a:b]
-			for j, v := range sub {
-				rules[j] = e.ruleOf[v]
-			}
-			e.fl.ApplyFlat(e.st, w, 0, sub, rules, e.nextW[a*w:b*w], w, 0)
-			prev := lo
-			for j, v := range sub {
-				copy(e.stNext[prev*w:v*w], e.st[prev*w:v*w])
-				copy(e.stNext[v*w:(v+1)*w], e.nextW[(a+j)*w:(a+j+1)*w])
-				prev = v + 1
-			}
-			copy(e.stNext[prev*w:hi*w], e.st[prev*w:hi*w])
-		})
+		e.activated = activated
+		e.forShards(n, e.applyPartialFn)
+		e.activated = nil
 	}
 	e.st, e.stNext = e.stNext, e.st
 	e.stale = true
@@ -834,6 +857,29 @@ func (e *Engine[S]) stepFused(activated []int) (bool, error) {
 func (e *Engine[S]) applyAllShard(_, lo, hi int) {
 	w := e.w
 	e.fl.ApplyFlat(e.st, w, 0, e.allVerts[lo:hi], e.ruleOf[lo:hi], e.stNext[lo*w:hi*w], w, 0)
+}
+
+// applyPartialShard is the partial-firing shard body of stepFused: apply
+// the activated vertices of [lo, hi) against the frozen front buffer and
+// fill the back buffer's range with their staged words and the unfired
+// gaps' old ones.
+func (e *Engine[S]) applyPartialShard(_, lo, hi int) {
+	w := e.w
+	a := sort.SearchInts(e.activated, lo)
+	b := sort.SearchInts(e.activated, hi)
+	sub := e.activated[a:b]
+	rules := e.rules[a:b]
+	for j, v := range sub {
+		rules[j] = e.ruleOf[v]
+	}
+	e.fl.ApplyFlat(e.st, w, 0, sub, rules, e.nextW[a*w:b*w], w, 0)
+	prev := lo
+	for j, v := range sub {
+		copy(e.stNext[prev*w:v*w], e.st[prev*w:v*w])
+		copy(e.stNext[v*w:(v+1)*w], e.nextW[(a+j)*w:(a+j+1)*w])
+		prev = v + 1
+	}
+	copy(e.stNext[prev*w:hi*w], e.st[prev*w:hi*w])
 }
 
 // evalMoves is the evaluate phase: rules and next states of every selected
@@ -858,9 +904,7 @@ func (e *Engine[S]) evalMoves() error {
 	} else {
 		e.guardEvals += int64(k)
 	}
-	shards := e.forShards(k, func(sh, lo, hi int) {
-		e.shardErrs[sh] = e.evalMoveRange(lo, hi)
-	})
+	shards := e.forShards(k, e.evalFn)
 	for sh := 0; sh < shards; sh++ {
 		if e.shardErrs[sh] != nil {
 			return e.shardErrs[sh]
@@ -869,22 +913,24 @@ func (e *Engine[S]) evalMoves() error {
 	return nil
 }
 
-// evalMoveRange evaluates one contiguous shard of the selection. Rules are
-// already filled in incremental mode (evalMoves); otherwise they are
-// evaluated here against the frozen pre-state.
-func (e *Engine[S]) evalMoveRange(lo, hi int) error {
+// evalShard is evalMoves' shard body: it evaluates one contiguous shard of
+// the selection and records its error in shardErrs[sh]. Rules are already
+// filled in incremental mode (evalMoves); otherwise they are evaluated here
+// against the frozen pre-state.
+func (e *Engine[S]) evalShard(sh, lo, hi int) {
+	e.shardErrs[sh] = nil
 	vs := e.selected[lo:hi]
 	rules := e.rules[lo:hi]
 	if e.loc == nil {
 		e.fl.EnabledRuleFlat(e.st, e.w, 0, vs, rules)
 		for i, r := range rules {
 			if r == NoRule {
-				return fmt.Errorf("%w: %s selected disabled vertex %d", ErrDaemonSelection, e.d.Name(), vs[i])
+				e.shardErrs[sh] = fmt.Errorf("%w: %s selected disabled vertex %d", ErrDaemonSelection, e.d.Name(), vs[i])
+				return
 			}
 		}
 	}
 	e.fl.ApplyFlat(e.st, e.w, 0, vs, rules, e.nextW[lo*e.w:hi*e.w], e.w, 0)
-	return nil
 }
 
 // commitMoves merges the staged next words into the packed configuration
@@ -892,21 +938,23 @@ func (e *Engine[S]) evalMoveRange(lo, hi int) error {
 // exactly decode(st) unless an earlier fused step left it stale (then
 // Current decodes it whole). Writes are per-vertex disjoint, so large
 // commits shard across workers like the evaluate phase.
-func (e *Engine[S]) commitMoves() {
+func (e *Engine[S]) commitMoves() { e.forShards(len(e.selected), e.commitFn) }
+
+// commitShard is commitMoves' shard body: scatter the staged words of
+// selection positions [lo, hi) and decode their vertices.
+func (e *Engine[S]) commitShard(_, lo, hi int) {
 	w := e.w
-	e.forShards(len(e.selected), func(_, lo, hi int) {
-		if w == 1 {
-			for i := lo; i < hi; i++ {
-				e.st[e.selected[i]] = e.nextW[i]
-			}
-		} else {
-			for i := lo; i < hi; i++ {
-				v := e.selected[i]
-				copy(e.st[v*w:(v+1)*w], e.nextW[i*w:(i+1)*w])
-			}
+	if w == 1 {
+		for i := lo; i < hi; i++ {
+			e.st[e.selected[i]] = e.nextW[i]
 		}
-		e.fl.DecodeStates(e.st, w, 0, e.selected[lo:hi], e.cfg)
-	})
+	} else {
+		for i := lo; i < hi; i++ {
+			v := e.selected[i]
+			copy(e.st[v*w:(v+1)*w], e.nextW[i*w:(i+1)*w])
+		}
+	}
+	e.fl.DecodeStates(e.st, w, 0, e.selected[lo:hi], e.cfg)
 }
 
 // cacheLineWords is a 64-byte cache line in int64 words. Shard sizes at or
@@ -965,10 +1013,13 @@ func (e *Engine[S]) runShardJob(sh int) {
 }
 
 // growSlice returns buf resized to length k, reallocating only when the
-// capacity is insufficient (contents are overwritten by the caller).
+// capacity is insufficient (contents are overwritten by the caller). A
+// reallocation at least doubles the capacity, so a buffer that follows a
+// front growing a few vertices per step — a stabilizing execution's
+// selection — is reallocated O(log k) times, not at every new maximum.
 func growSlice[T any](buf []T, k int) []T {
 	if cap(buf) < k {
-		return make([]T, k)
+		return make([]T, k, max(k, 2*cap(buf)))
 	}
 	return buf[:k]
 }

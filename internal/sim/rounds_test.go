@@ -24,11 +24,11 @@ import (
 type allButOne struct{}
 
 func (allButOne) Name() string { return "all-but-one" }
-func (allButOne) Select(_ sim.Config[int], e []int, _ *rand.Rand) []int {
+func (allButOne) Select(_ sim.Config[int], e []int, _ *rand.Rand, dst []int) []int {
 	if len(e) > 1 {
-		return e[:len(e)-1]
+		return append(dst, e[:len(e)-1]...)
 	}
-	return e
+	return append(dst, e...)
 }
 
 // checkRoundsByDefinition runs e for at most steps transitions and

@@ -21,9 +21,9 @@ import (
 type countingSync struct{ selects int }
 
 func (*countingSync) Name() string { return "sd/counting" }
-func (d *countingSync) Select(_ sim.Config[int], enabled []int, _ *rand.Rand) []int {
+func (d *countingSync) Select(_ sim.Config[int], enabled []int, _ *rand.Rand, dst []int) []int {
 	d.selects++
-	return enabled
+	return append(dst, enabled...)
 }
 func (*countingSync) FiresAllEnabled() bool { return true }
 
@@ -32,9 +32,9 @@ func (*countingSync) FiresAllEnabled() bool { return true }
 type configReader struct{ seen sim.Config[int] }
 
 func (*configReader) Name() string { return "sd/config-reading" }
-func (d *configReader) Select(c sim.Config[int], enabled []int, _ *rand.Rand) []int {
+func (d *configReader) Select(c sim.Config[int], enabled []int, _ *rand.Rand, dst []int) []int {
 	d.seen = append(d.seen[:0], c...)
-	return enabled
+	return append(dst, enabled...)
 }
 
 // shadowOptions are the engine variants of the shadow tests: sequential,

@@ -99,23 +99,27 @@ type Protocol[S comparable] interface {
 
 // Daemon is the adversary of Definition 1, restricted — as in all concrete
 // daemons of the paper — to choosing, at each step, which non-empty subset
-// of the enabled vertices fires. Implementations must return a non-empty
-// subset of enabled (aliasing enabled is allowed); the engine treats an
-// empty selection as a daemon bug.
+// of the enabled vertices fires. Implementations append a non-empty subset
+// of enabled to dst and return the result; the engine treats an empty
+// selection as a daemon bug.
 //
 // Stateful daemons (round-robin cursors, adversary memory) are not safe
 // for concurrent use; give each Engine its own Daemon value.
 type Daemon[S comparable] interface {
 	// Name identifies the daemon in reports (e.g. "sd", "ud/random-central").
 	Name() string
-	// Select chooses the vertices to activate this step. Both c and
-	// enabled are owned by the engine and read-only.
-	Select(c Config[S], enabled []int, rng *rand.Rand) []int
+	// Select chooses the vertices to activate this step and returns
+	// append(dst, chosen...). c, enabled and dst are owned by the engine:
+	// c and enabled are read-only, and dst — the engine's selection
+	// buffer, passed empty — must not be retained past the call. The
+	// result must be dst grown by append, never enabled or a slice the
+	// daemon keeps, since the engine reuses it as the next call's dst.
+	Select(c Config[S], enabled []int, rng *rand.Rand, dst []int) []int
 }
 
 // FiresAll is an optional capability of a Daemon declaring that it is the
-// synchronous daemon sd: when FiresAllEnabled reports true, Select returns
-// the enabled list itself and reads neither the configuration nor the
+// synchronous daemon sd: when FiresAllEnabled reports true, Select appends
+// the whole enabled list and reads neither the configuration nor the
 // generator. The engine then never calls Select — it fires the enabled
 // list directly, and a dense step takes the fused synchronous path without
 // decoding the configuration for the daemon. A wrapper daemon that

@@ -77,21 +77,25 @@ func TestNewEngineRequiresFlat(t *testing.T) {
 // implementations live in internal/daemon; sim must not import it).
 type allEnabled struct{}
 
-func (allEnabled) Name() string                                      { return "test-sync" }
-func (allEnabled) Select(_ Config[int], e []int, _ *rand.Rand) []int { return e }
-func (allEnabled) FiresAllEnabled() bool                             { return true }
+func (allEnabled) Name() string { return "test-sync" }
+func (allEnabled) Select(_ Config[int], e []int, _ *rand.Rand, dst []int) []int {
+	return append(dst, e...)
+}
+func (allEnabled) FiresAllEnabled() bool { return true }
 
 // firstOnly activates only the first enabled vertex.
 type firstOnly struct{}
 
-func (firstOnly) Name() string                                      { return "test-central" }
-func (firstOnly) Select(_ Config[int], e []int, _ *rand.Rand) []int { return e[:1] }
+func (firstOnly) Name() string { return "test-central" }
+func (firstOnly) Select(_ Config[int], e []int, _ *rand.Rand, dst []int) []int {
+	return append(dst, e[0])
+}
 
 // broken returns an empty selection — a daemon contract violation.
 type broken struct{}
 
-func (broken) Name() string                                      { return "test-broken" }
-func (broken) Select(_ Config[int], _ []int, _ *rand.Rand) []int { return nil }
+func (broken) Name() string                                                 { return "test-broken" }
+func (broken) Select(_ Config[int], _ []int, _ *rand.Rand, dst []int) []int { return dst }
 
 func TestConfigCloneEqual(t *testing.T) {
 	t.Parallel()
@@ -400,6 +404,6 @@ func TestEngineDeterministicForSeed(t *testing.T) {
 type randomOne struct{}
 
 func (randomOne) Name() string { return "test-random-one" }
-func (randomOne) Select(_ Config[int], e []int, rng *rand.Rand) []int {
-	return []int{e[rng.Intn(len(e))]}
+func (randomOne) Select(_ Config[int], e []int, rng *rand.Rand, dst []int) []int {
+	return append(dst, e[rng.Intn(len(e))])
 }
