@@ -45,8 +45,15 @@ func benchGrid() *campaign.Campaign {
 }
 
 // BenchmarkCampaignGrid3Axis drives the grid through the campaign runner
-// (expansion, fingerprints, scheduler, aggregation, table assembly).
-func BenchmarkCampaignGrid3Axis(b *testing.B) {
+// (expansion, fingerprints, scheduler, aggregation, table assembly) on one
+// worker, the like-for-like comparison with the hand-rolled loop.
+func BenchmarkCampaignGrid3Axis(b *testing.B) { benchCampaignGrid(b, 1) }
+
+// BenchmarkCampaignGrid3AxisWorkers2 is the same grid on two workers: the
+// caller and one helper claiming tasks while the caller folds.
+func BenchmarkCampaignGrid3AxisWorkers2(b *testing.B) { benchCampaignGrid(b, 2) }
+
+func benchCampaignGrid(b *testing.B, workers int) {
 	c := benchGrid()
 	cells, err := c.Cells()
 	if err != nil {
@@ -54,7 +61,7 @@ func BenchmarkCampaignGrid3Axis(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := c.Run(campaign.RunOptions{Pool: campaign.Pool{Workers: 1}})
+		res, err := c.Run(campaign.RunOptions{Pool: campaign.Pool{Workers: workers}})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -17,13 +17,15 @@ package campaign
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Pool bounds the worker fan-out of a grid execution. Results are bitwise
 // identical for every worker count: all per-task randomness is fixed
 // before the fan-out and folds run in task order (DESIGN.md §7).
 type Pool struct {
-	// Workers caps concurrent tasks (0 = GOMAXPROCS).
+	// Workers caps concurrent tasks (0 = GOMAXPROCS): the calling
+	// goroutine plus Workers−1 helpers, started per grid.
 	Workers int
 }
 
@@ -45,8 +47,13 @@ func (p Pool) count(n int) int {
 // forCells is the grid scheduler every campaign and experiment runs on:
 // len(counts) cells with counts[i] tasks each, run(cell, trial) fanned out
 // over the pool, and fold(cell, samples) invoked in strictly increasing
-// cell order as soon as the cell and all its predecessors have completed —
-// so checkpoints and streamed rows appear while later cells still execute.
+// cell order once the cell and all its predecessors have completed — so
+// checkpoints and streamed rows appear while later cells still execute.
+// With W workers, W−1 helper goroutines and the caller claim task indices
+// in grid order from one atomic counter; there is no feeder goroutine and
+// no channel. Folds run on the caller only, between its own tasks and once
+// more after the helpers join, so a fold may lag its cell's completion by
+// at most one of the caller's tasks.
 //
 // Determinism: folds run sequentially in cell order regardless of worker
 // count or completion order; on failure the error of the lowest
@@ -87,34 +94,33 @@ func forCells[R any](pool Pool, counts []int, run func(cell, trial int) (R, erro
 		return nil
 	}
 
-	idx := make(chan int)
-	done := make(chan int, workers)
+	// A task publishes its result by decrementing its cell's remaining
+	// count; the caller folds a cell once that count reads zero.
+	var next atomic.Int64
+	remaining := make([]atomic.Int64, len(counts))
+	for i, c := range counts {
+		remaining[i].Store(int64(c))
+	}
+	task := func(i int) {
+		cell := cellOf[i]
+		results[i], errs[i] = run(cell, i-offs[cell])
+		remaining[cell].Add(-1)
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				results[i], errs[i] = run(cellOf[i], i-offs[cellOf[i]])
-				done <- i
+			for i := int(next.Add(1) - 1); i < total; i = int(next.Add(1) - 1) {
+				task(i)
 			}
 		}()
 	}
-	go func() {
-		for i := 0; i < total; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-		close(done)
-	}()
 
-	remaining := make([]int, len(counts))
-	copy(remaining, counts)
 	cursor := 0
 	var failure error
 	advance := func() {
-		for cursor < len(counts) && remaining[cursor] == 0 && failure == nil {
+		for cursor < len(counts) && failure == nil && remaining[cursor].Load() == 0 {
 			for t := offs[cursor]; t < offs[cursor+1]; t++ {
 				if errs[t] != nil {
 					failure = errs[t]
@@ -128,14 +134,15 @@ func forCells[R any](pool Pool, counts []int, run func(cell, trial int) (R, erro
 			cursor++
 		}
 	}
-	advance() // fold any leading zero-task cells before results arrive
-	for i := range done {
-		remaining[cellOf[i]]--
+	for {
 		advance()
+		i := int(next.Add(1) - 1)
+		if i >= total {
+			break
+		}
+		task(i)
 	}
-	if failure != nil {
-		return failure
-	}
+	wg.Wait()
 	advance()
 	return failure
 }

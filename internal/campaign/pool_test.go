@@ -3,6 +3,7 @@ package campaign
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -61,6 +62,63 @@ func TestForCellsErrorPrecedence(t *testing.T) {
 		for _, c := range folded {
 			if c >= 2 {
 				t.Fatalf("workers=%d: cell %d folded despite an earlier failure", workers, c)
+			}
+		}
+	}
+}
+
+// TestForCellsReverseCompletion gates every task on its successor's
+// completion, so the tasks finish in exactly the reverse of grid order —
+// the last task first — while the helpers and the caller each hold one.
+// Folds must still arrive in cell order, each with its cell's samples in
+// trial order, and when a later task fails first the lowest failing task's
+// error must win, with no cell at or after it folded.
+func TestForCellsReverseCompletion(t *testing.T) {
+	t.Parallel()
+	counts := []int{2, 2, 0, 1}
+	first := []int{0, 2, 4, 4} // grid index of each cell's trial 0
+	total := 5
+	errOf := map[int]error{}
+	for _, failing := range [][]int{nil, {2, 4}} {
+		for _, task := range failing {
+			errOf[task] = fmt.Errorf("task %d failed", task)
+		}
+		for _, workers := range []int{total, 8} {
+			gates := make([]chan struct{}, total+1)
+			for i := range gates {
+				gates[i] = make(chan struct{})
+			}
+			close(gates[total])
+			var mu sync.Mutex
+			var finished []int
+			var folded []string
+			err := forCells(Pool{Workers: workers}, counts,
+				func(cell, trial int) (string, error) {
+					task := first[cell] + trial
+					<-gates[task+1]
+					mu.Lock()
+					finished = append(finished, task)
+					mu.Unlock()
+					close(gates[task])
+					return fmt.Sprintf("%d.%d", cell, trial), errOf[task]
+				},
+				func(cell int, samples []string) error {
+					folded = append(folded, fmt.Sprintf("%d:%v", cell, samples))
+					return nil
+				})
+			name := fmt.Sprintf("failing=%v workers=%d", failing, workers)
+			if got := fmt.Sprint(finished); got != "[4 3 2 1 0]" {
+				t.Fatalf("%s: tasks finished in order %s, want reverse grid order", name, got)
+			}
+			want, wantErr := "[0:[0.0 0.1] 1:[1.0 1.1] 2:[] 3:[3.0]]", error(nil)
+			if failing != nil {
+				want, wantErr = "[0:[0.0 0.1]]", errOf[2]
+			}
+			if err != wantErr {
+				t.Fatalf("%s: err = %v, want %v", name, err, wantErr)
+			}
+			if got := fmt.Sprint(folded); got != want {
+				t.Fatalf("%s: folds\ngot  %s\nwant %s", name, got, want)
 			}
 		}
 	}

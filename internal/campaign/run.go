@@ -17,7 +17,8 @@ import (
 // RunOptions configures one grid execution.
 type RunOptions struct {
 	// Pool bounds the cell×trial fan-out; results are identical for
-	// every worker count.
+	// every worker count. The calling goroutine runs tasks too, and
+	// the rows stream from it (forCells).
 	Pool Pool
 	// Engine, when non-nil, replaces every cell's engine spec — the
 	// -workers override of the drivers' command lines. Executions

@@ -361,7 +361,7 @@ func TestClusterSurvivorsStallOnKill(t *testing.T) {
 		if c.errs[i] != nil {
 			faults++
 		}
-		if !c.Node(i).Stalled() {
+		if !c.Node(i).Status().Stalled {
 			t.Errorf("node %d not marked stalled after peer death", i)
 		}
 	}

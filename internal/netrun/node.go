@@ -643,9 +643,6 @@ func (nd *Node) Drain() {
 // Round returns the last committed round.
 func (nd *Node) Round() int64 { return nd.round.Load() }
 
-// Stalled reports whether the barrier is (or ended) stalled on a peer.
-func (nd *Node) Stalled() bool { return nd.stalled.Load() }
-
 // Journal materializes the in-memory journal. Read it after Run
 // returns; the round loop appends to the backing arena concurrently
 // while running.

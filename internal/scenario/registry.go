@@ -88,9 +88,10 @@ func TopologyNames() []string {
 
 // BuildTopology constructs the named graph with main size spec.N; seed
 // drives the random families exactly as the CLI always has (one fresh
-// generator per construction). The graph constructors panic on sizes they
-// reject; this is where a user-supplied size meets them, so such a panic
-// is returned as the error instead.
+// generator per construction). The generator runs on a sim.LazySource, so
+// the deterministic families, which never draw, never seed it. The graph
+// constructors panic on sizes they reject; this is where a user-supplied
+// size meets them, so such a panic is returned as the error instead.
 func BuildTopology(spec TopologySpec, seed int64) (g *graph.Graph, err error) {
 	name := strings.ToLower(spec.Name)
 	for _, e := range topologyRegistry {
@@ -100,7 +101,7 @@ func BuildTopology(spec TopologySpec, seed int64) (g *graph.Graph, err error) {
 					g, err = nil, fmt.Errorf("topology %s with n = %d: %v", name, spec.N, r)
 				}
 			}()
-			return e.build(spec.N, rand.New(rand.NewSource(seed))), nil
+			return e.build(spec.N, rand.New(sim.NewLazySource(seed))), nil
 		}
 	}
 	return nil, fmt.Errorf("unknown topology %q (choose from: %s)", spec.Name, strings.Join(TopologyNames(), ", "))

@@ -124,14 +124,16 @@ type Sim struct {
 	leaseExpired int64
 
 	// Privilege tracking, maintained incrementally when the lock declares
-	// sim.Local (influence != nil): after each step only the activated
-	// vertices and the vertices reading them can change privilege.
-	priv      []bool
-	privList  []int
-	privAlt   []int
-	influence [][]int
-	dirty     []int
-	dirtyMark []bool
+	// sim.Local (influenceOff != nil): after each step only the activated
+	// vertices and the vertices reading them can change privilege. The
+	// influence rows are the engine's own (sim.Engine.Influence).
+	priv         []bool
+	privList     []int
+	privAlt      []int
+	influenceOff []int
+	influenceAdj []int
+	dirty        []int
+	dirtyMark    []bool
 
 	adapter *Adapter[request, hold]
 
@@ -188,8 +190,7 @@ func New(lock Lock, d sim.Daemon[int], initial sim.Config[int], seed int64, wl W
 	if ht, ok := wl.(HoldTimer); ok {
 		s.holdWl = ht
 	}
-	if l := sim.LocalOf[int](lock); l != nil {
-		s.influence = influenceSets(n, l)
+	if s.influenceOff, s.influenceAdj = eng.Influence(); s.influenceOff != nil {
 		s.dirtyMark = make([]bool, n)
 	}
 	s.rescanPriv()
@@ -243,13 +244,13 @@ func (s *Sim) rescanPriv() {
 // back to the sweep) — the engine's own enabled-set strategy, applied to
 // the privilege predicate.
 func (s *Sim) refreshPriv(activated []int) {
-	if s.influence == nil || 4*len(activated) >= s.n {
+	if s.influenceOff == nil || 4*len(activated) >= s.n {
 		s.rescanPriv()
 		return
 	}
 	s.dirty = s.dirty[:0]
 	for _, v := range activated {
-		for _, u := range s.influence[v] {
+		for _, u := range s.influenceAdj[s.influenceOff[v]:s.influenceOff[v+1]] {
 			if !s.dirtyMark[u] {
 				s.dirtyMark[u] = true
 				s.dirty = append(s.dirty, u)
@@ -416,33 +417,4 @@ func insertionSort(xs []int) {
 		}
 		xs[j+1] = x
 	}
-}
-
-// influenceSets inverts the read-set relation of l (the engine's own
-// construction, applied to the privilege predicate): out[v] lists v plus
-// every u with v ∈ l.Neighbors(u), sorted and deduplicated.
-func influenceSets(n int, l sim.Local) [][]int {
-	out := make([][]int, n)
-	for v := 0; v < n; v++ {
-		out[v] = append(out[v], v)
-	}
-	for u := 0; u < n; u++ {
-		for _, v := range l.Neighbors(u) {
-			if v != u {
-				out[v] = append(out[v], u)
-			}
-		}
-	}
-	for v := range out {
-		insertionSort(out[v])
-		w := 0
-		for i, x := range out[v] {
-			if i == 0 || x != out[v][w-1] {
-				out[v][w] = x
-				w++
-			}
-		}
-		out[v] = out[v][:w]
-	}
-	return out
 }

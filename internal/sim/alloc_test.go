@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"specstab/internal/core"
 	"specstab/internal/daemon"
 	"specstab/internal/dijkstra"
+	"specstab/internal/graph"
 	"specstab/internal/sim"
 )
 
@@ -105,8 +107,9 @@ func TestFusedPartialStepZeroAlloc(t *testing.T) {
 // and, on the wide selections, the evaluate and commit phases run on the
 // pool. Each case also runs on a full-rescan engine (DisableIncremental),
 // whose Step rebuilds the enabled list with sharded guard sweeps. The
-// first Select seeds the engine's generator; the warm-up pays for it and
-// for growing the scratch buffers to the widest selection.
+// first Select builds the engine's generator and the first draw seeds it;
+// the warm-up pays for both and for growing the scratch buffers to the
+// widest selection.
 func TestGeneralStepZeroAlloc(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector allocates on its own")
@@ -173,5 +176,32 @@ func measureWarmStep(t *testing.T, name string, e *sim.Engine[int], sparse bool)
 	}
 	if allocs != 0 {
 		t.Errorf("%s: %.2f allocs per warm step, want 0", name, allocs)
+	}
+}
+
+// TestNewEngineAllocs bounds the allocations of engine construction, the
+// per-task cost of the experiment grids, which build a fresh small engine
+// for every cell×trial: SSME on an 8-ring under random-central. The
+// influence sets are two arrays (CSR) rather than one slice per vertex,
+// the daemon's generator is neither built nor seeded before the first
+// Select, and a multi-worker engine this small gets no private pool.
+func TestNewEngineAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates on its own")
+	}
+	const bound = 24
+	p := core.MustNew(graph.Ring(8))
+	initial := make(sim.Config[int], p.N())
+	for _, workers := range []int{1, 4} {
+		allocs := testing.AllocsPerRun(100, func() {
+			e, err := sim.NewEngineWith[int](p, daemon.NewRandomCentral[int](), initial, 1, sim.Options{Workers: workers})
+			if err != nil || !e.Incremental() {
+				t.Fatalf("engine: %v (incremental %v)", err, err == nil && e.Incremental())
+			}
+		})
+		t.Logf("workers=%d: NewEngineWith: %.0f allocs", workers, allocs)
+		if allocs > bound {
+			t.Errorf("workers=%d: NewEngineWith: %.0f allocs, want ≤ %d", workers, allocs, bound)
+		}
 	}
 }

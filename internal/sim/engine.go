@@ -51,8 +51,8 @@ type HookID int
 // Engine drives one execution of a protocol under a daemon from a given
 // initial configuration. It is deterministic: given the same protocol,
 // daemon, initial configuration and seed, it replays the same execution
-// (daemon randomness is drawn from the engine's seeded generator, built at
-// the first Select) — for every worker count and shard size.
+// (daemon randomness is drawn from the engine's generator, seeded from seed
+// at the daemon's first draw) — for every worker count and shard size.
 //
 // When the protocol declares its guard read-sets (the Local capability),
 // the engine maintains the enabled set incrementally: after each step only
@@ -82,11 +82,13 @@ type Engine[S comparable] struct {
 	d   Daemon[S]
 	cfg Config[S]
 
-	// The daemon's generator is seeded from seed at the first Select
-	// (random): seeding math/rand costs more than many steps, and an sd
-	// engine never draws.
-	seed int64
-	rng  *rand.Rand
+	// The daemon's generator, built at the first Select (random) on a
+	// LazySource that seeds itself at the first draw: seeding math/rand
+	// costs more than many steps, an sd engine never calls Select, and
+	// the deterministic daemons (min-id, max-id, round-robin, greedy,
+	// rule-priority, Recorded) are handed rng but never draw from it.
+	src LazySource
+	rng *rand.Rand
 
 	steps int
 	moves int
@@ -108,16 +110,18 @@ type Engine[S comparable] struct {
 	owedList []int
 	owedBuf  []int
 
-	// Incremental enabled-set maintenance (nil/empty without Local):
-	// influence[v] is {v} ∪ {u : v ∈ Neighbors(u)}, ruleOf mirrors the
+	// Incremental enabled-set maintenance (nil/empty without Local): the
+	// influence sets in CSR form, row v = influenceAdj[influenceOff[v]:
+	// influenceOff[v+1]] = {v} ∪ {u : v ∈ Neighbors(u)}; ruleOf mirrors the
 	// maintained enabled list (NoRule = disabled; otherwise the enabled
 	// rule, so steps need no guard re-evaluation at all), dirty/dirtyMark
 	// are per-step scratch.
-	loc       Local
-	influence [][]int
-	ruleOf    []Rule
-	dirty     []int
-	dirtyMark []bool
+	loc          Local
+	influenceOff []int
+	influenceAdj []int
+	ruleOf       []Rule
+	dirty        []int
+	dirtyMark    []bool
 
 	// Packed state. st is the front buffer — the source of truth; cfg is
 	// its decoded shadow, so daemons, hooks and Current() observe the
@@ -138,8 +142,9 @@ type Engine[S comparable] struct {
 	// shardSize the minimum batch per shard, shardErrs the per-shard error
 	// slots (merged in shard order for determinism). pool is the persistent
 	// worker team the shards run on — either Options.Pool (shared across
-	// engines) or a lazily owned pool (owned=true), released by Close or by
-	// the runtime cleanup when the engine is collected.
+	// engines) or a lazily started private pool (owned=true), released by
+	// Close or by the runtime cleanup when the engine is collected. An
+	// engine of at most one shard never splits work and has no pool.
 	workers   int
 	shardSize int
 	shardErrs []error
@@ -243,7 +248,7 @@ func NewEngineWith[S comparable](p Protocol[S], d Daemon[S], initial Config[S], 
 		st:         make([]int64, n*w),
 		allVerts:   make([]int, n),
 		cfg:        initial.Clone(),
-		seed:       seed,
+		src:        LazySource{seed: seed},
 		enabledOwn: make([]int, 0, n),
 		sd:         firesAll(d),
 		workers:    workers,
@@ -259,19 +264,20 @@ func NewEngineWith[S comparable](p Protocol[S], d Daemon[S], initial Config[S], 
 	e.rescanFn = e.rescanShard
 	e.evalFn = e.evalShard
 	e.commitFn = e.commitShard
-	if workers > 1 {
-		if opts.Pool != nil {
-			e.pool = opts.Pool
-		} else {
-			// A private pool, tied to the engine's lifetime: Close releases
-			// it deterministically; the cleanup catches engines that are
-			// simply dropped, so parked helper goroutines never outlive the
-			// engines that started them. The cleanup closure must not
-			// capture e (that would keep the engine reachable forever).
-			e.pool = NewPool(workers)
-			e.owned = true
-			e.cleanup = runtime.AddCleanup(e, func(p *Pool) { p.Close() }, e.pool)
-		}
+	if workers > 1 && opts.Pool != nil {
+		e.pool = opts.Pool
+	} else if workers > 1 && n > shardSize {
+		// A private pool, tied to the engine's lifetime: Close releases
+		// it deterministically; the cleanup catches engines that are
+		// simply dropped, so parked helper goroutines never outlive the
+		// engines that started them. The cleanup closure must not
+		// capture e (that would keep the engine reachable forever). No
+		// phase covers more than n vertices, so an engine of at most
+		// one shard — every small engine of a sweep — runs inline and
+		// pays for neither.
+		e.pool = NewPool(workers)
+		e.owned = true
+		e.cleanup = runtime.AddCleanup(e, func(p *Pool) { p.Close() }, e.pool)
 	}
 	for v := range e.allVerts {
 		e.allVerts[v] = v
@@ -279,7 +285,7 @@ func NewEngineWith[S comparable](p Protocol[S], d Daemon[S], initial Config[S], 
 	e.load()
 	if l := LocalOf(p); l != nil {
 		e.loc = l
-		e.influence = influenceSets(p.N(), l)
+		e.influenceOff, e.influenceAdj = influenceCSR(p.N(), l)
 		e.ruleOf = make([]Rule, p.N())
 		e.dirtyMark = make([]bool, p.N())
 		e.seedEnabled()
@@ -556,6 +562,14 @@ func (e *Engine[S]) GuardEvals() int64 { return e.guardEvals }
 // incrementally via the protocol's Local declaration.
 func (e *Engine[S]) Incremental() bool { return e.loc != nil }
 
+// Influence returns the engine's influence sets in CSR form: row v,
+// adj[off[v]:off[v+1]], lists in increasing order v and every vertex whose
+// guard reads v's state. Both slices are shared and read-only, and nil
+// when the engine is not incremental. DisableIncremental drops the
+// engine's references but never writes the arrays, so rows read earlier
+// stay valid.
+func (e *Engine[S]) Influence() (off, adj []int) { return e.influenceOff, e.influenceAdj }
+
 // DisableIncremental switches the engine to full guard rescans even when
 // the protocol declares Local. The execution itself is unaffected — only
 // the guard-evaluation cost changes — which is exactly what the
@@ -563,7 +577,8 @@ func (e *Engine[S]) Incremental() bool { return e.loc != nil }
 // any point of an execution.
 func (e *Engine[S]) DisableIncremental() {
 	e.loc = nil
-	e.influence = nil
+	e.influenceOff = nil
+	e.influenceAdj = nil
 	e.ruleOf = nil
 	e.dirty = nil
 	e.dirtyMark = nil
@@ -674,7 +689,7 @@ func (e *Engine[S]) refreshEnabled(activated []int) {
 	}
 	e.dirty = e.dirty[:0]
 	for _, v := range activated {
-		for _, u := range e.influence[v] {
+		for _, u := range e.influenceAdj[e.influenceOff[v]:e.influenceOff[v+1]] {
 			if !e.dirtyMark[u] {
 				e.dirtyMark[u] = true
 				e.dirty = append(e.dirty, u)
@@ -788,12 +803,13 @@ func (e *Engine[S]) Step() (bool, error) {
 	return true, nil
 }
 
-// random returns the daemon's generator, seeding it on first use. Nothing
-// else draws from it, so it yields the stream an eagerly seeded generator
-// would.
+// random returns the daemon's generator, building it on first use over
+// the engine's LazySource, which seeds itself only at the daemon's first
+// draw. Nothing else draws from it, so it yields the stream an eagerly
+// seeded rand.New(rand.NewSource(seed)) would.
 func (e *Engine[S]) random() *rand.Rand {
 	if e.rng == nil {
-		e.rng = rand.New(rand.NewSource(e.seed))
+		e.rng = rand.New(&e.src)
 	}
 	return e.rng
 }

@@ -164,8 +164,13 @@ type Options struct {
 	// Pool, when non-nil, is the persistent worker pool the engine's
 	// sharded phases run on. Share one Pool across engines (campaign
 	// sweeps do) so helper goroutines start once per process rather than
-	// once per engine; the pool's owner closes it. Nil means the engine
-	// lazily owns a private pool, released by Engine.Close or when the
-	// engine is collected. Pools affect throughput only, never executions.
+	// once per engine; the pool's owner closes it. Epochs on a shared
+	// pool are serialized, but work of at most ShardSize vertices runs
+	// inline and never takes the pool, so the small engines of a sweep,
+	// stepping concurrently on the grid scheduler's workers, never wait
+	// on each other. Nil means the engine lazily owns a private pool,
+	// released by Engine.Close or when the engine is collected; an
+	// engine of at most ShardSize vertices never splits its work and
+	// gets none. Pools affect throughput only, never executions.
 	Pool *Pool
 }

@@ -56,37 +56,63 @@ func LocalOf[S comparable](p Protocol[S]) Local {
 	return nil
 }
 
-// influenceSets inverts the read-set relation of l: out[v] lists, in
-// increasing order and without duplicates, the vertices whose enabledness
-// may change when v's state changes — v itself plus every u with
-// v ∈ l.Neighbors(u).
-func influenceSets(n int, l Local) [][]int {
-	out := make([][]int, n)
+// influenceCSR inverts the read-set relation of l into compressed sparse
+// rows: row v, adj[off[v]:off[v+1]], lists in increasing order and without
+// duplicates the vertices whose enabledness may change when v's state
+// changes — v itself plus every u with v ∈ l.Neighbors(u). The rows are
+// counted, prefix-summed and filled into one backing array, then each row
+// is sorted and deduplicated in place and the array compacted, so the whole
+// relation costs two allocations however many vertices there are.
+func influenceCSR(n int, l Local) (off, adj []int) {
+	off = make([]int, n+1)
 	for v := 0; v < n; v++ {
-		out[v] = append(out[v], v)
+		off[v+1]++
 	}
 	for u := 0; u < n; u++ {
 		for _, v := range l.Neighbors(u) {
 			if v != u {
-				out[v] = append(out[v], u)
+				off[v+1]++
 			}
 		}
 	}
-	for v := range out {
-		sort.Ints(out[v])
-		out[v] = dedupSorted(out[v])
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
 	}
-	return out
-}
-
-// dedupSorted removes adjacent duplicates from a sorted slice in place.
-func dedupSorted(xs []int) []int {
-	w := 0
-	for i, x := range xs {
-		if i == 0 || x != xs[w-1] {
-			xs[w] = x
-			w++
+	// Fill each row from its end: off[v+1] walks down to the row's start,
+	// so afterwards off[v+1] holds where row v begins.
+	adj = make([]int, off[n])
+	fill := func(v, u int) {
+		off[v+1]--
+		adj[off[v+1]] = u
+	}
+	for v := 0; v < n; v++ {
+		fill(v, v)
+	}
+	for u := 0; u < n; u++ {
+		for _, v := range l.Neighbors(u) {
+			if v != u {
+				fill(v, u)
+			}
 		}
 	}
-	return xs[:w]
+	// Sort and dedup row by row, compacting the rows towards the front:
+	// the write cursor never passes the row being read.
+	w, end := 0, len(adj)
+	for v := 0; v < n; v++ {
+		lo, hi := off[v+1], end
+		if v+1 < n {
+			hi = off[v+2]
+		}
+		row := adj[lo:hi]
+		sort.Ints(row)
+		off[v] = w
+		for i, x := range row {
+			if i == 0 || x != row[i-1] {
+				adj[w] = x
+				w++
+			}
+		}
+	}
+	off[n] = w
+	return off, adj[:w]
 }

@@ -239,6 +239,38 @@ func TestEngineCloseInlineFallback(t *testing.T) {
 	}
 }
 
+// TestEnginePoolOnlyWhenSharded: an engine creates a private pool only
+// when its vertex count exceeds one shard — no phase covers more than n
+// vertices, so a smaller engine would never use one — and the execution
+// is the same with or without it.
+func TestEnginePoolOnlyWhenSharded(t *testing.T) {
+	t.Parallel()
+	p := unisonRing(t, 80)
+	initial := sim.RandomConfig(p, rand.New(rand.NewSource(5)))
+	ref, err := sim.NewEngineWith(p, daemon.NewSynchronous[int](), initial, 5, sim.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(t, ref, 40)
+	for _, c := range []struct {
+		shardSize int
+		wantPool  bool
+	}{{80, false}, {0, false}, {79, true}, {1, true}} {
+		e, err := sim.NewEngineWith(p, daemon.NewSynchronous[int](), initial, 5, sim.Options{Workers: 4, ShardSize: c.shardSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.HasPool() != c.wantPool {
+			t.Errorf("shard size %d: has pool %v, want %v", c.shardSize, e.HasPool(), c.wantPool)
+		}
+		drive(t, e, 40)
+		if got, want := sim.FingerprintConfig(e.Current()), sim.FingerprintConfig(ref.Current()); got != want {
+			t.Errorf("shard size %d: execution diverged: %016x vs %016x", c.shardSize, got, want)
+		}
+		e.Close()
+	}
+}
+
 // TestOptionsValidation pins the constructor's rejection of negative
 // parallelism parameters and the Workers-from-Pool default.
 func TestOptionsValidation(t *testing.T) {
