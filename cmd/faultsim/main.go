@@ -113,7 +113,7 @@ func run(args []string, out io.Writer) error {
 
 	fmt.Fprintf(out, "fault campaign on %s under %s: %d bursts × %d corrupted registers\n\n",
 		g, *daemonName, *bursts, k)
-	initial := sim.RandomConfig[int](p, rand.New(rand.NewSource(seed)))
+	initial := sim.RandomConfig[int](p, rand.New(sim.NewLazySource(seed)))
 	recs, err := scenarioSpec.Run(initial, burstList, seed)
 	if err != nil {
 		return err

@@ -56,7 +56,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(3))
+	rng := rand.New(sim.NewLazySource(3))
 	eUD := sim.MustEngine[int](p, daemon.NewGreedyCentral[int](p, p.DisorderPotential),
 		sim.RandomConfig[int](p, rng), 1)
 	if _, err := eUD.Run(p.UnfairBoundMoves(), p.Legitimate); err != nil {

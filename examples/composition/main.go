@@ -31,7 +31,7 @@ func main() {
 	fmt.Printf("individual sync horizons: BFS %d, unison %d\n\n", bfs.SyncHorizon(), uni.SyncHorizon())
 
 	type pair = compose.Pair[int, int]
-	rng := rand.New(rand.NewSource(2013))
+	rng := rand.New(sim.NewLazySource(2013))
 	for trial := 1; trial <= 5; trial++ {
 		e := sim.MustEngine[pair](prod, daemon.NewSynchronous[pair](),
 			sim.RandomConfig[pair](prod, rng), 1)

@@ -25,7 +25,7 @@ func main() {
 	fmt.Printf("SSME on %s — clock %s\n", g, p.Clock())
 	fmt.Printf("Theorem 2 bound: ⌈diam/2⌉ = %d synchronous steps\n\n", core.SyncBound(g))
 
-	rng := rand.New(rand.NewSource(2013))
+	rng := rand.New(sim.NewLazySource(2013))
 	for trial := 1; trial <= 5; trial++ {
 		// A transient fault corrupted every register arbitrarily:
 		initial := sim.RandomConfig[int](p, rng)

@@ -23,7 +23,7 @@ func main() {
 	}
 
 	// Transient fault: every register is garbage.
-	initial := sim.RandomConfig[int](p, rand.New(rand.NewSource(7)))
+	initial := sim.RandomConfig[int](p, rand.New(sim.NewLazySource(7)))
 	e, err := sim.NewEngineWith[int](p, daemon.NewDistributed[int](0.5), initial, 7, sim.Options{Workers: 2})
 	if err != nil {
 		log.Fatal(err)

@@ -39,7 +39,7 @@ func main() {
 		n := g.N()
 
 		// Strong daemon: worst moves to Γ₁ over unfair schedules.
-		rng := rand.New(rand.NewSource(int64(side)))
+		rng := rand.New(sim.NewLazySource(int64(side)))
 		worstMoves := 0
 		for trial := 0; trial < 5; trial++ {
 			e := sim.MustEngine[int](p, daemon.NewGreedyCentral[int](p, p.DisorderPotential),

@@ -149,25 +149,22 @@ func (p *Protocol) Correct(c sim.Config[int]) bool {
 	return true
 }
 
-// ErrorMass is the adversarial potential: total remaining level error plus
-// the enabled count, so greedy adversaries prolong under-estimate climbs
-// (each unit of under-estimate near a small-valued cycle costs a move).
-func (p *Protocol) ErrorMass(c sim.Config[int]) float64 {
-	mass := 0.0
-	for v := 0; v < p.g.N(); v++ {
-		d := c[v] - p.dist[v]
-		if d < 0 {
-			d = -d
-		}
-		mass += float64(d)
+// ErrorMass is v's term of the adversarial potential (a daemon.Potential):
+// remaining level error first, enabledness as the tie-break, so greedy
+// adversaries prolong under-estimate climbs (each unit of under-estimate
+// near a small-valued cycle costs a move). The error weighs n+1, more than
+// all enabled vertices together, so the total orders configurations by
+// (error mass, enabled count) lexicographically.
+func (p *Protocol) ErrorMass(c sim.Config[int], v int) int64 {
+	d := c[v] - p.dist[v]
+	if d < 0 {
+		d = -d
 	}
-	enabled := 0
-	for v := 0; v < p.g.N(); v++ {
-		if _, ok := p.EnabledRule(c, v); ok {
-			enabled++
-		}
+	term := int64(p.g.N()+1) * int64(d)
+	if _, ok := p.EnabledRule(c, v); ok {
+		term++
 	}
-	return mass + float64(enabled)/float64(p.g.N()+1)
+	return term
 }
 
 // SyncHorizon returns a safe synchronous horizon: Θ(diam) claim with

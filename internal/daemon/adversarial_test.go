@@ -22,14 +22,11 @@ import (
 
 // enabledPotential counts enabled vertices — a protocol-generic badness.
 func enabledPotential[S comparable](p sim.Protocol[S]) daemon.Potential[S] {
-	return func(c sim.Config[S]) float64 {
-		n := 0
-		for v := 0; v < p.N(); v++ {
-			if _, ok := p.EnabledRule(c, v); ok {
-				n++
-			}
+	return func(c sim.Config[S], v int) int64 {
+		if _, ok := p.EnabledRule(c, v); ok {
+			return 1
 		}
-		return float64(n)
+		return 0
 	}
 }
 
@@ -120,8 +117,8 @@ func TestLookaheadDeterministicPerSeed(t *testing.T) {
 func TestGreedyCentralMaximizesPotential(t *testing.T) {
 	t.Parallel()
 	p := dijkstra.MustNew(9, 9)
-	pot := func(c sim.Config[int]) float64 { return p.TokenPotential(c) }
-	d := daemon.NewGreedyCentral[int](p, pot)
+	pot := func(c sim.Config[int]) int { return p.TokenCount(c) }
+	d := daemon.NewGreedyCentral[int](p, p.TokenPotential)
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 40; trial++ {
 		cfg := sim.RandomConfig[int](p, rng)
@@ -134,7 +131,7 @@ func TestGreedyCentralMaximizesPotential(t *testing.T) {
 		if len(sel) != 1 {
 			t.Fatalf("central daemon selected %d vertices", len(sel))
 		}
-		score := func(v int) float64 {
+		score := func(v int) int {
 			next := cfg.Clone()
 			r, _ := p.EnabledRule(cfg, v)
 			next[v] = p.Apply(cfg, v, r)
@@ -194,7 +191,7 @@ func TestRulePriorityCentralOrdering(t *testing.T) {
 func TestLookaheadTieBreaksTowardFewerMoves(t *testing.T) {
 	t.Parallel()
 	p := dijkstra.MustNew(6, 6)
-	d := daemon.NewLookahead[int](p, func(sim.Config[int]) float64 { return 0 }, 4)
+	d := daemon.NewLookahead[int](p, func(sim.Config[int], int) int64 { return 0 }, 4)
 	rng := rand.New(rand.NewSource(2))
 	cfg := sim.RandomConfig[int](p, rng)
 	enabled := sim.Enabled[int](p, cfg, nil)

@@ -11,6 +11,16 @@
 // they are all ≺ ud, and measuring under them lower-bounds conv_time(π, ud).
 // sd is the deterministic daemon selecting all enabled vertices; cd selects
 // exactly one.
+//
+// The greedy adversaries (NewGreedyCentral, Lookahead) maximize a
+// Potential, given as a per-vertex integer term Term(c, v) whose sum over
+// the vertices is the configuration's badness. The term's locality is a
+// contract, as sim.Local's read-set is for guards: Term(c, v) may read only
+// c[v] and the states sim.LocalOf(p).Neighbors(v) lists (any state when p
+// declares no locality). The adversaries rely on it to score a candidate
+// selection by the change in the terms of the vertices whose influence row
+// lists a mover (sim.InfluenceCSR), not by rescoring the whole successor
+// configuration; a term that reads further silently changes their choices.
 package daemon
 
 import (

@@ -60,13 +60,7 @@ func TestCentralPoliciesPickExactlyOneEnabled(t *testing.T) {
 		NewMinIDCentral[int](),
 		NewMaxIDCentral[int](),
 		NewRoundRobin[int](8),
-		NewGreedyCentral[int](p, func(c sim.Config[int]) float64 {
-			sum := 0.0
-			for _, s := range c {
-				sum += float64(s)
-			}
-			return sum
-		}),
+		NewGreedyCentral[int](p, func(c sim.Config[int], v int) int64 { return int64(c[v]) }),
 		NewRulePriorityCentral[int](p, map[sim.Rule]int{ruleSet: 0}),
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -177,8 +171,8 @@ func TestGreedyCentralMaximizesPotential(t *testing.T) {
 	t.Parallel()
 	p := &toyProtocol{n: 4}
 	// Potential that rewards setting vertex 2 specifically.
-	potential := func(c sim.Config[int]) float64 {
-		if c[2] == 1 {
+	potential := func(c sim.Config[int], v int) int64 {
+		if v == 2 && c[2] == 1 {
 			return 10
 		}
 		return 0
@@ -193,9 +187,15 @@ func TestGreedyCentralMaximizesPotential(t *testing.T) {
 func TestLookaheadPrefersWorstSuccessor(t *testing.T) {
 	t.Parallel()
 	p := &toyProtocol{n: 4}
-	potential := func(c sim.Config[int]) float64 {
+	potential := func(c sim.Config[int], v int) int64 {
 		// Adversary wants vertex 0 set and vertex 3 unset.
-		return float64(c[0]*5 - c[3]*3)
+		switch v {
+		case 0:
+			return int64(c[0] * 5)
+		case 3:
+			return int64(-c[3] * 3)
+		}
+		return 0
 	}
 	d := NewLookahead[int](p, potential, 4)
 	rng := rand.New(rand.NewSource(3))
@@ -209,7 +209,7 @@ func TestLookaheadPrefersWorstSuccessor(t *testing.T) {
 func TestLookaheadTieBreaksSmall(t *testing.T) {
 	t.Parallel()
 	p := &toyProtocol{n: 3}
-	flat := func(sim.Config[int]) float64 { return 0 }
+	flat := func(sim.Config[int], int) int64 { return 0 }
 	d := NewLookahead[int](p, flat, 2)
 	rng := rand.New(rand.NewSource(4))
 	c := sim.Config[int]{0, 0, 0}
@@ -228,8 +228,8 @@ func TestNames(t *testing.T) {
 		"cd/max-id":            NewMaxIDCentral[int](),
 		"cd/round-robin":       NewRoundRobin[int](2),
 		"ud/distributed-p0.50": NewDistributed[int](0.5),
-		"ud/greedy-lookahead":  NewLookahead[int](p, func(sim.Config[int]) float64 { return 0 }, 1),
-		"cd/greedy":            NewGreedyCentral[int](p, func(sim.Config[int]) float64 { return 0 }),
+		"ud/greedy-lookahead":  NewLookahead[int](p, func(sim.Config[int], int) int64 { return 0 }, 1),
+		"cd/greedy":            NewGreedyCentral[int](p, func(sim.Config[int], int) int64 { return 0 }),
 		"cd/rule-priority":     NewRulePriorityCentral[int](p, nil),
 	}
 	for want, d := range names {
@@ -246,15 +246,15 @@ func TestNames(t *testing.T) {
 func TestSelectAppendsToDst(t *testing.T) {
 	t.Parallel()
 	p := &toyProtocol{n: 8}
-	zeros := func(c sim.Config[int]) float64 { return float64(len(enabledOf(c))) }
+	enabledTerm := func(c sim.Config[int], v int) int64 { return int64(1 - c[v]) }
 	makers := []func() sim.Daemon[int]{
 		func() sim.Daemon[int] { return NewSynchronous[int]() },
 		func() sim.Daemon[int] { return NewRandomCentral[int]() },
 		func() sim.Daemon[int] { return NewMaxIDCentral[int]() },
 		func() sim.Daemon[int] { return NewRoundRobin[int](8) },
 		func() sim.Daemon[int] { return NewDistributed[int](0.5) },
-		func() sim.Daemon[int] { return NewLookahead[int](p, zeros, 3) },
-		func() sim.Daemon[int] { return NewGreedyCentral[int](p, zeros) },
+		func() sim.Daemon[int] { return NewLookahead[int](p, enabledTerm, 3) },
+		func() sim.Daemon[int] { return NewGreedyCentral[int](p, enabledTerm) },
 		func() sim.Daemon[int] { return NewRulePriorityCentral[int](p, map[sim.Rule]int{ruleSet: 0}) },
 		func() sim.Daemon[int] { return NewRecorded[int]([][]int{{1, 5}}) },
 	}

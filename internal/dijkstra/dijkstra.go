@@ -169,12 +169,15 @@ func (p *Protocol) SafeME(c sim.Config[int]) bool { return p.TokenCount(c) <= 1 
 // Because TokenCount ≥ 1 always, this coincides with SafeME.
 func (p *Protocol) Legitimate(c sim.Config[int]) bool { return p.TokenCount(c) == 1 }
 
-// TokenPotential is the adversarial potential: schedules that keep many
+// TokenPotential is v's term of the adversarial potential (a
+// daemon.Potential): 1 if v holds a token. Schedules that keep many
 // distinct tokens alive force more total moves, so the greedy adversary
-// maximizes the token count, breaking ties toward configurations whose
-// bottom value has many fresh counter values left to sweep.
-func (p *Protocol) TokenPotential(c sim.Config[int]) float64 {
-	return float64(p.TokenCount(c))
+// maximizes the token count.
+func (p *Protocol) TokenPotential(c sim.Config[int], v int) int64 {
+	if p.Privileged(c, v) {
+		return 1
+	}
+	return 0
 }
 
 // WorstConfig returns the initial configuration realizing the Θ(n²)

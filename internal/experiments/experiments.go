@@ -21,6 +21,7 @@ import (
 
 	"specstab/internal/campaign"
 	"specstab/internal/graph"
+	"specstab/internal/sim"
 	"specstab/internal/stats"
 )
 
@@ -50,7 +51,7 @@ func (c RunConfig) seed() int64 {
 }
 
 func (c RunConfig) rng(salt int64) *rand.Rand {
-	return rand.New(rand.NewSource(c.seed()*1_000_003 + salt))
+	return rand.New(sim.NewLazySource(c.seed()*1_000_003 + salt))
 }
 
 func (c RunConfig) pick(quick, full int) int {

@@ -74,7 +74,7 @@ func (s Scenario[S]) Run(initial sim.Config[S], bursts []Burst, seed int64) ([]R
 	if safe == nil {
 		safe = s.Legit
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(sim.NewLazySource(seed))
 
 	cfg := initial.Clone()
 	// Initial stabilization (not reported: it is the E2/E3 measurement).

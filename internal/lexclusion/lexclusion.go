@@ -146,9 +146,9 @@ func (p *Protocol) SafeLX(c sim.Config[int]) bool { return p.PrivilegedCount(c) 
 // safety holds throughout it).
 func (p *Protocol) Legitimate(c sim.Config[int]) bool { return p.uni.Legitimate(c) }
 
-// DisorderPotential forwards unison's adversarial potential.
-func (p *Protocol) DisorderPotential(c sim.Config[int]) float64 {
-	return p.uni.DisorderPotential(c)
+// DisorderPotential forwards unison's adversarial potential term.
+func (p *Protocol) DisorderPotential(c sim.Config[int], v int) int64 {
+	return p.uni.DisorderPotential(c, v)
 }
 
 // UnfairBoundMoves forwards the Theorem 3-style move bound (unison's).

@@ -8,7 +8,9 @@ import (
 // convenience functions drawing from the shared global source. rand.New,
 // rand.NewSource, rand.NewZipf and every *rand.Rand method remain legal —
 // an explicit generator seeded from the scenario/campaign seed is exactly
-// how randomness is supposed to flow.
+// how randomness is supposed to flow; rand.New(sim.NewLazySource(seed)),
+// the repository's own generator with rand.NewSource(seed)'s stream, is
+// the pattern the deterministic packages use.
 var globalRandFuncs = map[string]bool{
 	"Seed": true, "Int": true, "Intn": true, "Int31": true, "Int31n": true,
 	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,

@@ -255,18 +255,18 @@ func (p *Protocol) CleanConfig() sim.Config[State] {
 	return c
 }
 
-// ProgressPotential is the adversarial potential: the number of enabled
-// vertices plus pending (one-sided) proposals, which greedy adversaries
-// keep high to force the 4n+2m move budget to be spent.
-func (p *Protocol) ProgressPotential(c sim.Config[State]) float64 {
-	score := 0.0
-	for v := 0; v < p.g.N(); v++ {
-		if _, ok := p.EnabledRule(c, v); ok {
-			score++
-		}
-		if u := c[v].P; u != Null && c[u].P != v {
-			score += 0.5
-		}
+// ProgressPotential is v's term of the adversarial potential (a
+// daemon.Potential): 2 if v is enabled, plus 1 if v's proposal is pending
+// (one-sided). Greedy adversaries keep the total high to force the 4n+2m
+// move budget to be spent. A pointer names a neighbor, so the term reads
+// only v's read-set.
+func (p *Protocol) ProgressPotential(c sim.Config[State], v int) int64 {
+	var term int64
+	if _, ok := p.EnabledRule(c, v); ok {
+		term = 2
 	}
-	return score
+	if u := c[v].P; u != Null && c[u].P != v {
+		term++
+	}
+	return term
 }

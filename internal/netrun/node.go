@@ -149,7 +149,7 @@ func NewNode(cfg Config) (*Node, error) {
 		lock:  lock,
 		flat:  flat,
 		words: flat.FlatWords(),
-		rng:   rand.New(rand.NewSource(spec.Scenario.Seed + 1000003*int64(cfg.ID+1))),
+		rng:   rand.New(sim.NewLazySource(spec.Scenario.Seed + 1000003*int64(cfg.ID+1))),
 	}
 	nd.lo, nd.hi = shardRange(n, spec.Nodes, cfg.ID)
 	switch spec.Scenario.Daemon.Name {

@@ -385,7 +385,7 @@ func buildInitial[S comparable](sc *Scenario, p sim.Protocol[S], ib initBuilders
 	}
 	switch mode {
 	case "random":
-		return sim.RandomConfig[S](p, rand.New(rand.NewSource(sc.Seed))), nil
+		return sim.RandomConfig[S](p, rand.New(sim.NewLazySource(sc.Seed))), nil
 	case "zero":
 		if !ib.zero {
 			return nil, unsupported()

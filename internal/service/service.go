@@ -174,7 +174,7 @@ func New(lock Lock, d sim.Daemon[int], initial sim.Config[int], seed int64, wl W
 		lock:     lock,
 		eng:      eng,
 		wl:       wl,
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      rand.New(sim.NewLazySource(seed)),
 		n:        n,
 		hold:     int64(opt.Hold),
 		lease:    int64(opt.Lease),

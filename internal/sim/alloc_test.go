@@ -184,12 +184,14 @@ func measureWarmStep(t *testing.T, name string, e *sim.Engine[int], sparse bool)
 // for every cell×trial: SSME on an 8-ring under random-central. The
 // influence sets are two arrays (CSR) rather than one slice per vertex,
 // the daemon's generator is neither built nor seeded before the first
-// Select, and a multi-worker engine this small gets no private pool.
+// Select, a multi-worker engine this small gets no private pool, and no
+// shard body is bound as a method value (forShards switches on a phase;
+// the pool job is bound only for an engine with a pool).
 func TestNewEngineAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector allocates on its own")
 	}
-	const bound = 24
+	const bound = 15
 	p := core.MustNew(graph.Ring(8))
 	initial := make(sim.Config[int], p.N())
 	for _, workers := range []int{1, 4} {

@@ -36,17 +36,15 @@ type stepRecord struct {
 	rounds    int
 }
 
-// enabledCount is a protocol-generic adversarial potential so that the
-// guard-evaluating daemons (greedy, lookahead) can join the matrix.
-func enabledCount[S comparable](p sim.Protocol[S]) func(sim.Config[S]) float64 {
-	return func(c sim.Config[S]) float64 {
-		n := 0
-		for v := 0; v < p.N(); v++ {
-			if _, ok := p.EnabledRule(c, v); ok {
-				n++
-			}
+// enabledCount is a protocol-generic adversarial potential, the number of
+// enabled vertices, so that the guard-evaluating daemons (greedy,
+// lookahead) can join the matrix.
+func enabledCount[S comparable](p sim.Protocol[S]) daemon.Potential[S] {
+	return func(c sim.Config[S], v int) int64 {
+		if _, ok := p.EnabledRule(c, v); ok {
+			return 1
 		}
-		return float64(n)
+		return 0
 	}
 }
 

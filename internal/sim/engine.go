@@ -159,22 +159,16 @@ type Engine[S comparable] struct {
 	collect []int
 	runs    []enabledRun
 
-	// Hoisted shard bodies: method values bound once at construction, so
-	// dispatching a step's shards — and handing an epoch to the pool —
-	// allocates nothing (a closure literal passed to forShards escapes and
-	// is heap-allocated on every call). job is the epoch forShards is
-	// running; runJob reads it. activated is the partial-firing fused
-	// step's selection, which applyPartialFn reads.
-	job            shardJob
-	runJob         func(shard int)
-	applyAllFn     func(shard, lo, hi int)
-	applyPartialFn func(shard, lo, hi int)
-	refreshFlatFn  func(shard, lo, hi int)
-	refreshDirtyFn func(shard, lo, hi int)
-	rescanFn       func(shard, lo, hi int)
-	evalFn         func(shard, lo, hi int)
-	commitFn       func(shard, lo, hi int)
-	activated      []int
+	// Shard dispatch: forShards names its body by a shardPhase, which
+	// runShard switches on, so dispatching a step's shards allocates
+	// nothing (a closure literal passed to forShards would escape and be
+	// heap-allocated on every call). job is the epoch forShards is handing
+	// to the pool; runJob, bound only when the engine has a pool, reads
+	// it. activated is the partial-firing fused step's selection, which
+	// applyPartialShard reads.
+	job       shardJob
+	runJob    func(shard int)
+	activated []int
 
 	// guardEvals counts EnabledRule evaluations made by the engine itself
 	// (rescans, incremental refreshes, rule lookups, round settlement),
@@ -256,14 +250,6 @@ func NewEngineWith[S comparable](p Protocol[S], d Daemon[S], initial Config[S], 
 		shardErrs:  make([]error, workers),
 		runs:       make([]enabledRun, workers),
 	}
-	e.runJob = e.runShardJob
-	e.applyAllFn = e.applyAllShard
-	e.applyPartialFn = e.applyPartialShard
-	e.refreshFlatFn = e.refreshFlatShard
-	e.refreshDirtyFn = e.refreshDirtyShard
-	e.rescanFn = e.rescanShard
-	e.evalFn = e.evalShard
-	e.commitFn = e.commitShard
 	if workers > 1 && opts.Pool != nil {
 		e.pool = opts.Pool
 	} else if workers > 1 && n > shardSize {
@@ -279,13 +265,16 @@ func NewEngineWith[S comparable](p Protocol[S], d Daemon[S], initial Config[S], 
 		e.owned = true
 		e.cleanup = runtime.AddCleanup(e, func(p *Pool) { p.Close() }, e.pool)
 	}
+	if e.pool != nil {
+		e.runJob = e.runShardJob
+	}
 	for v := range e.allVerts {
 		e.allVerts[v] = v
 	}
 	e.load()
 	if l := LocalOf(p); l != nil {
 		e.loc = l
-		e.influenceOff, e.influenceAdj = influenceCSR(p.N(), l)
+		e.influenceOff, e.influenceAdj = InfluenceCSR(p.N(), l)
 		e.ruleOf = make([]Rule, p.N())
 		e.dirtyMark = make([]bool, p.N())
 		e.seedEnabled()
@@ -303,16 +292,19 @@ func (e *Engine[S]) seedEnabled() { e.refreshDense() }
 // the shadow invariant cfg[v] == DecodeState(v, st[v*w:]) holds from the
 // first step and again after every SetConfig.
 func (e *Engine[S]) load() {
-	w := e.w
-	e.forShards(e.p.N(), func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			e.fl.EncodeState(v, e.cfg[v], e.st[v*w:(v+1)*w])
-		}
-		for v := lo; v < hi; v++ {
-			e.cfg[v] = e.fl.DecodeState(v, e.st[v*w:(v+1)*w])
-		}
-	})
+	e.forShards(e.p.N(), phaseLoad)
 	e.stale = false
+}
+
+// loadShard is load's shard body: pack and decode back vertices [lo, hi).
+func (e *Engine[S]) loadShard(lo, hi int) {
+	w := e.w
+	for v := lo; v < hi; v++ {
+		e.fl.EncodeState(v, e.cfg[v], e.st[v*w:(v+1)*w])
+	}
+	for v := lo; v < hi; v++ {
+		e.cfg[v] = e.fl.DecodeState(v, e.st[v*w:(v+1)*w])
+	}
 }
 
 // refreshDense re-evaluates every guard with batch kernels and rebuilds
@@ -327,7 +319,7 @@ func (e *Engine[S]) refreshDense() {
 	e.guardEvals += int64(n)
 	e.enabledAlt = growSlice(e.enabledAlt, n)
 	e.collect = e.enabledAlt
-	shards := e.forShards(n, e.refreshFlatFn)
+	shards := e.forShards(n, phaseRefreshFlat)
 	e.installEnabled(e.compactRuns(shards))
 }
 
@@ -420,7 +412,7 @@ func (e *Engine[S]) rescan() []int {
 	e.allRules = growSlice(e.allRules, n)
 	e.enabledOwn = growSlice(e.enabledOwn, n)
 	e.collect = e.enabledOwn
-	shards := e.forShards(n, e.rescanFn)
+	shards := e.forShards(n, phaseRescan)
 	e.enabled = e.compactRuns(shards)
 	return e.enabled
 }
@@ -704,7 +696,7 @@ func (e *Engine[S]) refreshEnabled(activated []int) {
 	}
 	e.guardEvals += int64(k)
 	e.dirtyRules = growSlice(e.dirtyRules, k)
-	e.forShards(k, e.refreshDirtyFn)
+	e.forShards(k, phaseRefreshDirty)
 	for i, u := range e.dirty {
 		e.ruleOf[u] = e.dirtyRules[i]
 		e.dirtyMark[u] = false
@@ -744,7 +736,7 @@ func (e *Engine[S]) refreshEnabled(activated []int) {
 
 // refreshDirtyShard is refreshEnabled's shard body: re-evaluate the guards
 // of dirty[lo:hi] into dirtyRules.
-func (e *Engine[S]) refreshDirtyShard(_, lo, hi int) {
+func (e *Engine[S]) refreshDirtyShard(lo, hi int) {
 	e.fl.EnabledRuleFlat(e.st, e.w, 0, e.dirty[lo:hi], e.dirtyRules[lo:hi])
 }
 
@@ -841,7 +833,7 @@ func (e *Engine[S]) stepFused(activated []int) (bool, error) {
 		// lands verbatim in the back buffer. The fired rules are handed to
 		// the hooks by swapping ruleOf with the rules buffer — the rebuild
 		// below overwrites every ruleOf slot, so no copy is needed.
-		e.forShards(n, e.applyAllFn)
+		e.forShards(n, phaseApplyAll)
 		e.rules, e.ruleOf = e.ruleOf, e.rules
 	} else {
 		// Partial firing: shards still cover the vertex range (so the gap
@@ -851,7 +843,7 @@ func (e *Engine[S]) stepFused(activated []int) (bool, error) {
 		// back buffer.
 		e.nextW = growSlice(e.nextW, k*w)
 		e.activated = activated
-		e.forShards(n, e.applyPartialFn)
+		e.forShards(n, phaseApplyPartial)
 		e.activated = nil
 	}
 	e.st, e.stNext = e.stNext, e.st
@@ -870,7 +862,7 @@ func (e *Engine[S]) stepFused(activated []int) (bool, error) {
 // applyAllShard is the full-firing shard body of stepFused: apply every
 // vertex of [lo, hi) with its maintained rule against the frozen front
 // buffer into the back buffer.
-func (e *Engine[S]) applyAllShard(_, lo, hi int) {
+func (e *Engine[S]) applyAllShard(lo, hi int) {
 	w := e.w
 	e.fl.ApplyFlat(e.st, w, 0, e.allVerts[lo:hi], e.ruleOf[lo:hi], e.stNext[lo*w:hi*w], w, 0)
 }
@@ -879,7 +871,7 @@ func (e *Engine[S]) applyAllShard(_, lo, hi int) {
 // the activated vertices of [lo, hi) against the frozen front buffer and
 // fill the back buffer's range with their staged words and the unfired
 // gaps' old ones.
-func (e *Engine[S]) applyPartialShard(_, lo, hi int) {
+func (e *Engine[S]) applyPartialShard(lo, hi int) {
 	w := e.w
 	a := sort.SearchInts(e.activated, lo)
 	b := sort.SearchInts(e.activated, hi)
@@ -920,7 +912,7 @@ func (e *Engine[S]) evalMoves() error {
 	} else {
 		e.guardEvals += int64(k)
 	}
-	shards := e.forShards(k, e.evalFn)
+	shards := e.forShards(k, phaseEval)
 	for sh := 0; sh < shards; sh++ {
 		if e.shardErrs[sh] != nil {
 			return e.shardErrs[sh]
@@ -954,11 +946,11 @@ func (e *Engine[S]) evalShard(sh, lo, hi int) {
 // exactly decode(st) unless an earlier fused step left it stale (then
 // Current decodes it whole). Writes are per-vertex disjoint, so large
 // commits shard across workers like the evaluate phase.
-func (e *Engine[S]) commitMoves() { e.forShards(len(e.selected), e.commitFn) }
+func (e *Engine[S]) commitMoves() { e.forShards(len(e.selected), phaseCommit) }
 
 // commitShard is commitMoves' shard body: scatter the staged words of
 // selection positions [lo, hi) and decode their vertices.
-func (e *Engine[S]) commitShard(_, lo, hi int) {
+func (e *Engine[S]) commitShard(lo, hi int) {
 	w := e.w
 	if w == 1 {
 		for i := lo; i < hi; i++ {
@@ -980,20 +972,20 @@ func (e *Engine[S]) commitShard(_, lo, hi int) {
 // left exact.
 const cacheLineWords = 8
 
-// forShards runs f over contiguous ranges covering [0, k) and returns the
-// number of ranges. Work below the shard-size threshold (or with a single
+// forShards runs the shard body of phase ph over contiguous ranges
+// covering [0, k) and returns the number of ranges. Work below the shard-size threshold (or with a single
 // worker) runs inline; otherwise ranges run on the engine's persistent
 // pool — precomputed from the shard index, no per-call goroutines — and
-// join before returning. f must write only to disjoint index-addressed
+// join before returning. A body must write only to disjoint index-addressed
 // slots (rules[i], nextW[i*w:], ruleOf[vs[i]], shardErrs[shard]) — the
 // shard boundaries depend only on k, the shard size and the worker bound,
 // never on timing, so results are identical for every worker count.
-func (e *Engine[S]) forShards(k int, f func(shard, lo, hi int)) int {
+func (e *Engine[S]) forShards(k int, ph shardPhase) int {
 	if k == 0 {
 		return 0
 	}
 	if e.workers <= 1 || k <= e.shardSize || e.pool == nil {
-		f(0, 0, k)
+		e.runShard(ph, 0, 0, k)
 		return 1
 	}
 	size := e.shardSize
@@ -1005,19 +997,55 @@ func (e *Engine[S]) forShards(k int, f func(shard, lo, hi int)) int {
 	}
 	shards := (k + size - 1) / size
 	if shards == 1 {
-		f(0, 0, k)
+		e.runShard(ph, 0, 0, k)
 		return 1
 	}
-	e.job = shardJob{f: f, k: k, size: size}
+	e.job = shardJob{ph: ph, k: k, size: size}
 	e.pool.run(shards, e.runJob)
 	e.job = shardJob{}
 	return shards
 }
 
-// shardJob is one forShards epoch: the body and the range geometry that
+// shardPhase names the shard body of one forShards epoch.
+type shardPhase uint8
+
+const (
+	phaseLoad shardPhase = iota
+	phaseRefreshFlat
+	phaseRescan
+	phaseRefreshDirty
+	phaseApplyAll
+	phaseApplyPartial
+	phaseEval
+	phaseCommit
+)
+
+// runShard runs phase ph's body on shard sh, the range [lo, hi).
+func (e *Engine[S]) runShard(ph shardPhase, sh, lo, hi int) {
+	switch ph {
+	case phaseLoad:
+		e.loadShard(lo, hi)
+	case phaseRefreshFlat:
+		e.refreshFlatShard(sh, lo, hi)
+	case phaseRescan:
+		e.rescanShard(sh, lo, hi)
+	case phaseRefreshDirty:
+		e.refreshDirtyShard(lo, hi)
+	case phaseApplyAll:
+		e.applyAllShard(lo, hi)
+	case phaseApplyPartial:
+		e.applyPartialShard(lo, hi)
+	case phaseEval:
+		e.evalShard(sh, lo, hi)
+	case phaseCommit:
+		e.commitShard(lo, hi)
+	}
+}
+
+// shardJob is one forShards epoch: the phase and the range geometry that
 // runShardJob turns a shard index into.
 type shardJob struct {
-	f       func(shard, lo, hi int)
+	ph      shardPhase
 	k, size int
 }
 
@@ -1025,7 +1053,7 @@ type shardJob struct {
 func (e *Engine[S]) runShardJob(sh int) {
 	lo := sh * e.job.size
 	hi := min(lo+e.job.size, e.job.k)
-	e.job.f(sh, lo, hi)
+	e.runShard(e.job.ph, sh, lo, hi)
 }
 
 // growSlice returns buf resized to length k, reallocating only when the

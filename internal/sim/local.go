@@ -56,14 +56,31 @@ func LocalOf[S comparable](p Protocol[S]) Local {
 	return nil
 }
 
-// influenceCSR inverts the read-set relation of l into compressed sparse
+// InfluenceCSR inverts the read-set relation of l into compressed sparse
 // rows: row v, adj[off[v]:off[v+1]], lists in increasing order and without
 // duplicates the vertices whose enabledness may change when v's state
 // changes — v itself plus every u with v ∈ l.Neighbors(u). The rows are
 // counted, prefix-summed and filled into one backing array, then each row
 // is sorted and deduplicated in place and the array compacted, so the whole
-// relation costs two allocations however many vertices there are.
-func influenceCSR(n int, l Local) (off, adj []int) {
+// relation costs two allocations however many vertices there are. A nil l
+// (a protocol without a locality declaration, whose guards may read any
+// state) gets n rows that each list every vertex.
+//
+// The engine maintains its enabled set over these rows, and the greedy
+// adversaries of internal/daemon score a move over them: any quantity of
+// v computed from v's read-set can change only when a vertex whose row
+// lists v moves.
+func InfluenceCSR(n int, l Local) (off, adj []int) {
+	if l == nil {
+		off, adj = make([]int, n+1), make([]int, n*n)
+		for v := 0; v < n; v++ {
+			off[v+1] = off[v] + n
+			for u := 0; u < n; u++ {
+				adj[v*n+u] = u
+			}
+		}
+		return off, adj
+	}
 	off = make([]int, n+1)
 	for v := 0; v < n; v++ {
 		off[v+1]++

@@ -73,8 +73,8 @@ func checkEngineInfluence[S comparable](t *testing.T, name string, p sim.Protoco
 
 // TestInfluenceCSRMatchesOracle pins the engine's CSR influence sets to
 // the per-vertex builder they replaced, for every Local protocol on the
-// quick topology zoo of the experiments, and on hand-written read-sets
-// that list duplicates and the vertex itself.
+// quick topology zoo of the experiments, on hand-written read-sets that
+// list duplicates and the vertex itself, and without a declaration.
 func TestInfluenceCSRMatchesOracle(t *testing.T) {
 	t.Parallel()
 	zoo := []*graph.Graph{
@@ -110,4 +110,7 @@ func TestInfluenceCSRMatchesOracle(t *testing.T) {
 	checkCSR(t, "neighbor-lists", off, adj, influenceOracle(len(lists), lists))
 	off, adj = sim.InfluenceCSR(0, sim.NeighborLists{})
 	checkCSR(t, "empty", off, adj, nil)
+	// Without a locality declaration every vertex may read every other.
+	off, adj = sim.InfluenceCSR(3, nil)
+	checkCSR(t, "undeclared", off, adj, [][]int{{0, 1, 2}, {0, 1, 2}, {0, 1, 2}})
 }

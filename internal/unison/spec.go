@@ -70,21 +70,20 @@ func (p *Protocol) UnfairHorizonMoves() int {
 	return 2*d*n*n*n + (a+1)*n*n + (a-2*d)*n
 }
 
-// DisorderPotential scores how far c is from Γ₁, for the greedy adversarial
-// daemons: each locally illegitimate vertex weighs heavily, and deep tail
-// values weigh by their remaining climb, so the adversary prefers schedules
-// that spread resets and keep tails low.
-func (p *Protocol) DisorderPotential(c sim.Config[int]) float64 {
-	score := 0.0
-	for v := 0; v < p.g.N(); v++ {
-		if !p.LocallyLegitimate(c, v) {
-			score += 1000
-		}
-		if c[v] < 0 {
-			score += float64(-c[v])
-		}
+// DisorderPotential is v's term of how far c is from Γ₁, for the greedy
+// adversarial daemons (a daemon.Potential): a locally illegitimate vertex
+// weighs heavily, and a deep tail value weighs by its remaining climb, so
+// the adversary prefers schedules that spread resets and keep tails low.
+// It reads c[v] and v's neighbors, the read-set Neighbors declares.
+func (p *Protocol) DisorderPotential(c sim.Config[int], v int) int64 {
+	var term int64
+	if !p.LocallyLegitimate(c, v) {
+		term = 1000
 	}
-	return score
+	if c[v] < 0 {
+		term -= int64(c[v])
+	}
+	return term
 }
 
 // RandomLegitimateConfig samples a configuration of Γ₁: a random base value

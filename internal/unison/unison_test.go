@@ -208,13 +208,20 @@ func TestIllegitimacyCountAndPotential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	disorder := func(c sim.Config[int]) int64 {
+		var total int64
+		for v := range c {
+			total += u.DisorderPotential(c, v)
+		}
+		return total
+	}
 	legit := u.RandomLegitimateConfig(rand.New(rand.NewSource(7)))
-	if u.IllegitimacyCount(legit) != 0 || u.DisorderPotential(legit) != 0 {
+	if u.IllegitimacyCount(legit) != 0 || disorder(legit) != 0 {
 		t.Error("legitimate configuration should have zero disorder")
 	}
 	broken := legit.Clone()
 	broken[0] = u.Clock().Reset()
-	if u.IllegitimacyCount(broken) == 0 || u.DisorderPotential(broken) == 0 {
+	if u.IllegitimacyCount(broken) == 0 || disorder(broken) == 0 {
 		t.Error("corrupted configuration should register disorder")
 	}
 }
