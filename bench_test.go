@@ -1,10 +1,12 @@
 // The benchmark harness regenerating the paper's evaluation: one benchmark
-// per experiment of DESIGN.md §4 (BenchmarkE1…BenchmarkE12 wrap the
-// internal/experiments tables; each b.N iteration regenerates the full
-// table set for that claim), plus micro-benchmarks of the substrate's hot
-// paths (clock arithmetic, guard evaluation, engine steps) and the
-// engine-locality scaling sweeps (BenchmarkStepIncremental vs
-// BenchmarkStepFullRescan, reporting guard-evals/step).
+// per experiment of DESIGN.md §4 (BenchmarkE1…BenchmarkE13 wrap the
+// internal/experiments tables at -quick size; each b.N iteration
+// regenerates the full table set for that claim — BenchmarkE13Service,
+// the service storms, is a third of a quick pass), plus micro-benchmarks
+// of the substrate's hot paths (clock arithmetic, guard evaluation,
+// engine steps) and the engine-locality scaling sweeps
+// (BenchmarkStepIncremental vs BenchmarkStepFullRescan, reporting
+// guard-evals/step).
 //
 // Run with:
 //
@@ -82,6 +84,10 @@ func BenchmarkE11LExclusion(b *testing.B) { benchExperiment(b, "e11") }
 
 // BenchmarkE12Scaling regenerates the engine-locality scaling table.
 func BenchmarkE12Scaling(b *testing.B) { benchExperiment(b, "e12") }
+
+// BenchmarkE13Service regenerates the service tables: workload-driven
+// grants and live fault storms through service.Sim.
+func BenchmarkE13Service(b *testing.B) { benchExperiment(b, "e13") }
 
 // --- substrate micro-benchmarks ---
 

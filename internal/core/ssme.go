@@ -54,6 +54,10 @@ type Protocol struct {
 	uni *unison.Protocol
 	g   *graph.Graph
 	x   clock.Clock
+
+	// n, 2n and 2·diam(g), fixed at New: the privilege predicate reads
+	// them once per vertex.
+	n, twoN, twoDiam int
 }
 
 // Params returns the paper's clock parameters for g:
@@ -72,7 +76,8 @@ func New(g *graph.Graph) (*Protocol, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: building SSME on %s: %w", g.Name(), err)
 	}
-	return &Protocol{uni: uni, g: g, x: x}, nil
+	n := g.N()
+	return &Protocol{uni: uni, g: g, x: x, n: n, twoN: 2 * n, twoDiam: 2 * g.Diameter()}, nil
 }
 
 // MustNew is New that panics on error (generator/test use).
@@ -97,7 +102,7 @@ func (p *Protocol) Unison() *unison.Protocol { return p.uni }
 func (p *Protocol) Name() string { return fmt.Sprintf("SSME@%s", p.g.Name()) }
 
 // N implements sim.Protocol.
-func (p *Protocol) N() int { return p.g.N() }
+func (p *Protocol) N() int { return p.n }
 
 // EnabledRule implements sim.Protocol by delegating to unison: the guards
 // of Algorithm 1 are exactly unison's guards.
@@ -132,7 +137,7 @@ var _ sim.Local = (*Protocol)(nil)
 // strictly greater than diam(g) — the property Theorem 1's safety argument
 // uses.
 func (p *Protocol) PrivilegeValue(v int) int {
-	return 2*p.g.N() + 2*p.g.Diameter()*v
+	return p.twoN + p.twoDiam*v
 }
 
 // Privileged is the paper's predicate privileged_v ≡ (r_v = 2n + 2·diam·id_v).
@@ -143,7 +148,7 @@ func (p *Protocol) Privileged(c sim.Config[int], v int) bool {
 // PrivilegedSet returns all privileged vertices of c in increasing order.
 func (p *Protocol) PrivilegedSet(c sim.Config[int]) []int {
 	var out []int
-	for v := 0; v < p.g.N(); v++ {
+	for v := 0; v < p.n; v++ {
 		if p.Privileged(c, v) {
 			out = append(out, v)
 		}
@@ -154,8 +159,8 @@ func (p *Protocol) PrivilegedSet(c sim.Config[int]) []int {
 // PrivilegedCount returns |PrivilegedSet(c)| without allocating.
 func (p *Protocol) PrivilegedCount(c sim.Config[int]) int {
 	count := 0
-	for v := 0; v < p.g.N(); v++ {
-		if p.Privileged(c, v) {
+	for v, r := range c[:p.n] {
+		if r == p.twoN+p.twoDiam*v {
 			count++
 		}
 	}

@@ -22,6 +22,11 @@
 // window self-stabilization cannot protect, which must close once the
 // protocol re-stabilizes.
 //
+// The privilege set rides on the engine's enabled-set tracking: each
+// step's hook hands over the vertices the engine re-evaluated, and the
+// Sim patches its sorted privilege list over exactly those, so a sparse
+// tick costs O(Δ·deg) beyond the step rather than a sweep of the ring.
+//
 // Everything is deterministic for a fixed seed: the service draws all of
 // its randomness (arrival processes, think times, burst targets) from one
 // sequentially-consumed generator, and the engine underneath guarantees
@@ -43,10 +48,12 @@ import (
 // ℓ-exclusion (internal/lexclusion) all satisfy it.
 //
 // When the lock also declares sim.Local, Privileged(c, v) must read no
-// state beyond v's guard read-set closure ({v} ∪ Neighbors(v)) — the Sim
-// maintains the privilege set incrementally over exactly that closure.
-// Every lock of this repository qualifies: SSME and ℓ-exclusion
-// privileges read only r_v, and Dijkstra's privilege is its guard.
+// state beyond v's guard read-set closure ({v} ∪ Neighbors(v)) — after a
+// step the Sim re-evaluates privileges only on the vertices whose guards
+// the engine re-evaluated (sim.StepInfo.Dirty), which are exactly the
+// vertices whose closure holds a moved vertex. Every lock of this
+// repository qualifies: SSME and ℓ-exclusion privileges read only r_v,
+// and Dijkstra's privilege is its guard.
 type Lock interface {
 	sim.Protocol[int]
 	// Privileged reports whether v may enter the critical section in c.
@@ -123,17 +130,11 @@ type Sim struct {
 
 	leaseExpired int64
 
-	// Privilege tracking, maintained incrementally when the lock declares
-	// sim.Local (influenceOff != nil): after each step only the activated
-	// vertices and the vertices reading them can change privilege. The
-	// influence rows are the engine's own (sim.Engine.Influence).
-	priv         []bool
-	privList     []int
-	privAlt      []int
-	influenceOff []int
-	influenceAdj []int
-	dirty        []int
-	dirtyMark    []bool
+	// The privilege set: priv[v] and the sorted list of privileged
+	// vertices (capacity n), patched after each step over the vertices
+	// the engine re-evaluated (sim.StepInfo.Dirty).
+	priv     []bool
+	privList []int
 
 	adapter *Adapter[request, hold]
 
@@ -180,6 +181,7 @@ func New(lock Lock, d sim.Daemon[int], initial sim.Config[int], seed int64, wl W
 		lease:    int64(opt.Lease),
 		capacity: opt.Capacity,
 		priv:     make([]bool, n),
+		privList: make([]int, 0, n),
 		adapter:  NewAdapter[request, hold](0, n, opt.Capacity),
 		vGrants:  make([]int64, n),
 	}
@@ -190,14 +192,11 @@ func New(lock Lock, d sim.Daemon[int], initial sim.Config[int], seed int64, wl W
 	if ht, ok := wl.(HoldTimer); ok {
 		s.holdWl = ht
 	}
-	if s.influenceOff, s.influenceAdj = eng.Influence(); s.influenceOff != nil {
-		s.dirtyMark = make([]bool, n)
-	}
 	s.rescanPriv()
 	// Join the observer pipeline, so callers can attach traces and
 	// measurements to s.Engine() without severing the privilege
 	// maintenance.
-	eng.AddHook(func(info sim.StepInfo) { s.refreshPriv(info.Activated) })
+	eng.AddHook(func(info sim.StepInfo) { s.refreshPriv(info.Dirty) })
 	return s, nil
 }
 
@@ -238,50 +237,25 @@ func (s *Sim) rescanPriv() {
 	}
 }
 
-// refreshPriv patches the privilege set after the vertices in activated
-// changed state. With influence sets the dirty closure is re-evaluated and
-// spliced into the sorted list by one merge pass (dense dirty sets fall
-// back to the sweep) — the engine's own enabled-set strategy, applied to
-// the privilege predicate.
-func (s *Sim) refreshPriv(activated []int) {
-	if s.influenceOff == nil || 4*len(activated) >= s.n {
+// refreshPriv patches the privilege set after a step that re-evaluated
+// the guards of dirty (see Lock: no other vertex can change privilege).
+// Each vertex whose privilege flipped is inserted into or deleted from
+// the sorted list in place; a nil dirty set means any vertex may have
+// changed, and the set is rebuilt by a sweep.
+func (s *Sim) refreshPriv(dirty []int) {
+	if dirty == nil {
 		s.rescanPriv()
 		return
 	}
-	s.dirty = s.dirty[:0]
-	for _, v := range activated {
-		for _, u := range s.influenceAdj[s.influenceOff[v]:s.influenceOff[v+1]] {
-			if !s.dirtyMark[u] {
-				s.dirtyMark[u] = true
-				s.dirty = append(s.dirty, u)
-			}
-		}
-	}
 	c := s.eng.Current()
-	for _, u := range s.dirty {
-		s.priv[u] = s.lock.Privileged(c, u)
-		s.dirtyMark[u] = false
-	}
-	insertionSort(s.dirty)
-	out := s.privAlt[:0]
-	i, j := 0, 0
-	for i < len(s.privList) || j < len(s.dirty) {
-		switch {
-		case j == len(s.dirty) || (i < len(s.privList) && s.privList[i] < s.dirty[j]):
-			out = append(out, s.privList[i])
-			i++
-		default:
-			if i < len(s.privList) && s.privList[i] == s.dirty[j] {
-				i++
-			}
-			if s.priv[s.dirty[j]] {
-				out = append(out, s.dirty[j])
-			}
-			j++
+	for _, u := range dirty {
+		p := s.lock.Privileged(c, u)
+		if p == s.priv[u] {
+			continue
 		}
+		s.priv[u] = p
+		s.privList = sim.PatchSorted(s.privList, u, p)
 	}
-	s.privAlt = s.privList[:0]
-	s.privList = out
 }
 
 // enqueue admits one request to its vertex queue (the Workload emit
@@ -402,19 +376,4 @@ func (s *Sim) InjectBurst(k int) error {
 	}
 	s.rescanPriv()
 	return nil
-}
-
-// insertionSort sorts the small dirty slices of refreshPriv in place
-// (they hold Δ·avg-degree elements; sort.Ints would allocate an
-// interface header per call on this hot path).
-func insertionSort(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		x := xs[i]
-		j := i - 1
-		for j >= 0 && xs[j] > x {
-			xs[j+1] = xs[j]
-			j--
-		}
-		xs[j+1] = x
-	}
 }

@@ -3,6 +3,7 @@ package service_test
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"specstab/internal/core"
@@ -314,21 +315,29 @@ func runFully(t testing.TB, s *service.Sim, ticks int) error {
 // arrivals, the grant pass and the engine step — allocates nothing. SSME
 // under sd takes the fused engine step, Dijkstra's legitimate token ring
 // the general one (one enabled vertex per step). E13's storms run through
-// this loop.
+// this loop. Under a central daemon a 16-vertex SSME ring takes sparse
+// general steps whose dirty sets both insert into and delete from the
+// patched enabled and privilege lists; the measured ticks must do both.
 func TestTickZeroAlloc(t *testing.T) {
 	if raceDetector {
 		t.Skip("race instrumentation allocates")
 	}
 	const n = 64
 	ssme, initial := legitRing(t, n)
+	small, smallInit := legitRing(t, 16)
 	for _, c := range []struct {
-		name string
-		p    service.Lock
+		name    string
+		p       service.Lock
+		d       sim.Daemon[int]
+		initial sim.Config[int]
+		patches bool
 	}{
-		{"ssme", ssme},
-		{"dijkstra", dijkstra.MustNew(n, n)},
+		{"ssme", ssme, daemon.NewSynchronous[int](), initial, false},
+		{"dijkstra", dijkstra.MustNew(n, n), daemon.NewSynchronous[int](), initial, false},
+		{"ssme-central", small, daemon.NewRandomCentral[int](), smallInit, true},
 	} {
-		s, err := service.New(c.p, daemon.NewSynchronous[int](), initial, 3,
+		n := c.p.N()
+		s, err := service.New(c.p, c.d, c.initial, 3,
 			service.MustClosedLoop(n, 4*n, 0, 7), service.Options{Hold: 2, Lease: 5})
 		if err != nil {
 			t.Fatal(err)
@@ -337,11 +346,50 @@ func TestTickZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		grants := s.Grants()
-		if allocs := testing.AllocsPerRun(5000, func() { s.Tick() }); allocs != 0 {
+		prevEnabled := make([]int, 0, n)
+		prevPriv := make([]int, 0, n)
+		var flips [4]int // enabled inserts, deletes; privilege inserts, deletes
+		allocs := testing.AllocsPerRun(5000, func() {
+			if c.patches {
+				prevEnabled = append(prevEnabled[:0], s.Engine().Enabled()...)
+				prevPriv = append(prevPriv[:0], s.PrivList()...)
+			}
+			s.Tick()
+			if c.patches {
+				i, d := listDiff(prevEnabled, s.Engine().Enabled())
+				flips[0], flips[1] = flips[0]+i, flips[1]+d
+				i, d = listDiff(prevPriv, s.PrivList())
+				flips[2], flips[3] = flips[2]+i, flips[3]+d
+			}
+		})
+		if allocs != 0 {
 			t.Errorf("%s: a warm tick allocates %.2f times", c.name, allocs)
 		}
 		if s.Grants() == grants {
 			t.Errorf("%s: no grant during the measured ticks", c.name)
 		}
+		if c.patches && slices.Contains(flips[:], 0) {
+			t.Errorf("%s: the measured ticks patched the lists by %v (enabled inserts, deletes; privilege inserts, deletes); want each", c.name, flips)
+		}
 	}
+}
+
+// listDiff counts the entries only in next (inserted) and only in prev
+// (deleted), both sorted, without allocating.
+func listDiff(prev, next []int) (inserted, deleted int) {
+	i, j := 0, 0
+	for i < len(prev) || j < len(next) {
+		switch {
+		case j == len(next) || (i < len(prev) && prev[i] < next[j]):
+			deleted++
+			i++
+		case i == len(prev) || next[j] < prev[i]:
+			inserted++
+			j++
+		default:
+			i++
+			j++
+		}
+	}
+	return inserted, deleted
 }

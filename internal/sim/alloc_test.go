@@ -109,7 +109,8 @@ func TestFusedPartialStepZeroAlloc(t *testing.T) {
 // whose Step rebuilds the enabled list with sharded guard sweeps. The
 // first Select builds the engine's generator and the first draw seeds it;
 // the warm-up pays for both and for growing the scratch buffers to the
-// widest selection.
+// widest selection. A last case checks that steps which insert into and
+// delete from the enabled list allocate nothing either.
 func TestGeneralStepZeroAlloc(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector allocates on its own")
@@ -153,6 +154,66 @@ func TestGeneralStepZeroAlloc(t *testing.T) {
 			}
 		}
 	}
+	measurePatchingSteps(t)
+}
+
+// measurePatchingSteps covers the in-place patching of the enabled list:
+// a central daemon on a unison 64-ring moves one clock per step, so the
+// mover leaves the enabled list and a neighbour it unblocked joins it.
+// The measured steps must both insert and delete, starting from the
+// all-enabled identity list, and allocate nothing.
+func measurePatchingSteps(t *testing.T) {
+	t.Helper()
+	const n = 64
+	p := unisonRing(t, n)
+	for _, opts := range []sim.Options{{Workers: 1}, {Workers: 2, ShardSize: 1}} {
+		e, err := sim.NewEngineWith(p, daemon.NewRandomCentral[int](), make(sim.Config[int], n), 1, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(e.Enabled()) != n {
+			t.Fatalf("workers=%d: %d of %d vertices enabled at the uniform start", opts.Workers, len(e.Enabled()), n)
+		}
+		drive(t, e, 1) // builds the generator and seeds it
+		prev := make([]int, 0, n)
+		var ins, del int
+		allocs := testing.AllocsPerRun(200, func() {
+			prev = append(prev[:0], e.Enabled()...)
+			if _, err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+			i, d := listDiff(prev, e.Enabled())
+			ins += i
+			del += d
+		})
+		if ins == 0 || del == 0 {
+			t.Fatalf("workers=%d: the measured steps inserted %d and deleted %d vertices; want both", opts.Workers, ins, del)
+		}
+		if allocs != 0 {
+			t.Errorf("workers=%d: %.2f allocs per step patching the enabled list, want 0", opts.Workers, allocs)
+		}
+		e.Close()
+	}
+}
+
+// listDiff counts the entries only in next (inserted) and only in prev
+// (deleted), both sorted, without allocating.
+func listDiff(prev, next []int) (inserted, deleted int) {
+	i, j := 0, 0
+	for i < len(prev) || j < len(next) {
+		switch {
+		case j == len(next) || (i < len(prev) && prev[i] < next[j]):
+			deleted++
+			i++
+		case i == len(prev) || next[j] < prev[i]:
+			inserted++
+			j++
+		default:
+			i++
+			j++
+		}
+	}
+	return inserted, deleted
 }
 
 // measureWarmStep warms e up and fails t unless a further Step allocates

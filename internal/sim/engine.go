@@ -17,11 +17,18 @@ type StepInfo struct {
 	Activated []int
 	// Rules[i] is the rule fired by Activated[i].
 	Rules []Rule
+	// Dirty lists, in no particular order and without repeats, the
+	// vertices whose guards the step re-evaluated: the activated vertices
+	// and every vertex whose guard reads one of them. No vertex outside it
+	// changed enabledness, nor any predicate confined to its guard
+	// read-set. Dirty is nil when the step re-evaluated every guard (a
+	// dense rebuild) or none (a full-rescan engine), meaning "any vertex".
+	Dirty []int
 }
 
-// Clone returns a StepInfo with independently owned Activated/Rules
-// slices — the copy a hook must take before retaining the info beyond its
-// own invocation (see Hook).
+// Clone returns a StepInfo with independently owned Activated, Rules and
+// Dirty slices — the copy a hook must take before retaining the info
+// beyond its own invocation (see Hook).
 func (i StepInfo) Clone() StepInfo {
 	out := StepInfo{Step: i.Step}
 	if i.Activated != nil {
@@ -30,13 +37,16 @@ func (i StepInfo) Clone() StepInfo {
 	if i.Rules != nil {
 		out.Rules = append(make([]Rule, 0, len(i.Rules)), i.Rules...)
 	}
+	if i.Dirty != nil {
+		out.Dirty = append(make([]int, 0, len(i.Dirty)), i.Dirty...)
+	}
 	return out
 }
 
 // Hook observes executed steps.
 //
-// Aliasing contract: the Activated and Rules slices are owned by the
-// engine and reused between steps — they are valid only for the duration
+// Aliasing contract: the Activated, Rules and Dirty slices are owned by
+// the engine and reused between steps — they are valid only for the duration
 // of the hook invocation, and are read-only. A hook that retains the info
 // (step logs, deferred analysis) must take StepInfo.Clone; a hook that
 // only reads the slices inside its body needs no copy. Hooks run
@@ -100,22 +110,30 @@ type Engine[S comparable] struct {
 	// Round accounting: a round is a minimal execution segment in which
 	// every vertex enabled at the segment's start is activated or
 	// observed disabled — the standard asynchronous time measure of the
-	// self-stabilization literature. owedList holds, in increasing order,
-	// the vertices from the current round's start not yet discharged;
-	// settlement is a sorted merge against the activated list, so it
-	// costs O(|owed| + Δ) per step with no mark arrays to clear. A round
-	// that starts with every vertex enabled owes allVerts itself (no
-	// copy); settlement then compacts into owedBuf, never into allVerts.
-	rounds   int
-	owedList []int
-	owedBuf  []int
+	// self-stabilization literature. A round starts owing its enabled
+	// list: owedList, in increasing order (allVerts itself when every
+	// vertex is enabled, otherwise a copy in owedBuf). Its first step
+	// settles by a sorted merge against the activated list, compacting
+	// into owedBuf, never into allVerts; a round that ends there — every
+	// synchronous round — never touches owedMark. In incremental mode a
+	// round that outlives its first step moves its remainder into
+	// owedMark (owedCount vertices marked, owedList unused), and each
+	// later step discharges only its activated vertices and the dirty
+	// vertices it disabled: O(Δ + |dirty|), since no vertex outside the
+	// dirty closure changes enabledness. owedCount is 0 whenever no mark
+	// is set, so a new round starts with owedMark clear.
+	rounds    int
+	owedList  []int
+	owedBuf   []int
+	owedMark  []bool
+	owedCount int
 
 	// Incremental enabled-set maintenance (nil/empty without Local): the
 	// influence sets in CSR form, row v = influenceAdj[influenceOff[v]:
 	// influenceOff[v+1]] = {v} ∪ {u : v ∈ Neighbors(u)}; ruleOf mirrors the
 	// maintained enabled list (NoRule = disabled; otherwise the enabled
 	// rule, so steps need no guard re-evaluation at all), dirty/dirtyMark
-	// are per-step scratch.
+	// are per-step scratch; dirty is handed to the hooks as StepInfo.Dirty.
 	loc          Local
 	influenceOff []int
 	influenceAdj []int
@@ -133,7 +151,7 @@ type Engine[S comparable] struct {
 	st       []int64 // packed configuration, vertex-major
 	nextW    []int64 // staged next words, indexed by selection position
 	stNext   []int64 // back buffer of the fused synchronous step (swapped, not copied)
-	allVerts []int   // identity list: batch rescans, and the enabled list when all n are enabled
+	allVerts []int   // identity list (its length is n): batch rescans, and the enabled list when all n are enabled
 	allRules []Rule  // rescan scratch
 	stale    bool    // cfg lags st; Current decodes it
 	sd       bool    // the daemon declares FiresAll: Select is never called
@@ -177,8 +195,10 @@ type Engine[S comparable] struct {
 	guardEvals int64
 
 	// The enabled list is allVerts when every vertex is enabled, otherwise
-	// a prefix of enabledOwn. Rebuilds write only into enabledAlt, which
-	// never aliases the current list or allVerts (see installEnabled).
+	// a prefix of enabledOwn (capacity n). Dense rebuilds write only into
+	// enabledAlt, which never aliases the current list or allVerts (see
+	// installEnabled); a sparse refresh patches enabledOwn in place,
+	// copying allVerts into it first when the list was full.
 	enabled    []int
 	enabledOwn []int
 	enabledAlt []int
@@ -292,7 +312,7 @@ func (e *Engine[S]) seedEnabled() { e.refreshDense() }
 // the shadow invariant cfg[v] == DecodeState(v, st[v*w:]) holds from the
 // first step and again after every SetConfig.
 func (e *Engine[S]) load() {
-	e.forShards(e.p.N(), phaseLoad)
+	e.forShards(len(e.allVerts), phaseLoad)
 	e.stale = false
 }
 
@@ -310,12 +330,12 @@ func (e *Engine[S]) loadShard(lo, hi int) {
 // refreshDense re-evaluates every guard with batch kernels and rebuilds
 // the enabled list — cheaper than dirty-set bookkeeping once a sizable
 // fraction of the vertices fired (the synchronous-daemon regime: no
-// influence-set iteration, no mark churn, no sort). Each shard evaluates
+// influence-set iteration, no mark churn, no list patching). Each shard evaluates
 // its guard range and collects its enabled vertices in the same pass
 // (collectRun); compactRuns then joins the runs in shard order, so the
 // rebuilt list is identical for every worker count.
 func (e *Engine[S]) refreshDense() {
-	n := e.p.N()
+	n := len(e.allVerts)
 	e.guardEvals += int64(n)
 	e.enabledAlt = growSlice(e.enabledAlt, n)
 	e.collect = e.enabledAlt
@@ -407,7 +427,7 @@ func (e *Engine[S]) compactRuns(shards int) []int {
 // no selection outlives a rescan, so the current list may be overwritten,
 // but allVerts may not.
 func (e *Engine[S]) rescan() []int {
-	n := e.p.N()
+	n := len(e.allVerts)
 	e.guardEvals += int64(n)
 	e.allRules = growSlice(e.allRules, n)
 	e.enabledOwn = growSlice(e.enabledOwn, n)
@@ -425,7 +445,7 @@ func (e *Engine[S]) rescanShard(sh, lo, hi int) {
 }
 
 // startRound charges the current enabled set to the new round. A fully
-// enabled configuration owes allVerts itself.
+// enabled configuration owes allVerts itself. No vertex is marked.
 func (e *Engine[S]) startRound() {
 	enabled := e.Enabled()
 	if len(enabled) == len(e.allVerts) {
@@ -438,17 +458,57 @@ func (e *Engine[S]) startRound() {
 
 // settleRound discharges owed vertices after a step: a vertex is settled
 // once it has been activated or is observed disabled. When all are
-// settled, a round completes and the next one is charged. Both lists are
-// sorted, so one merge pass compacts the owed list into owedBuf (in place
-// unless the round owes allVerts). A selection is a subset of the enabled
-// vertices, so when all n fired every owed vertex is discharged by firing
-// and the merge is skipped — the steady state of a synchronous execution.
-func (e *Engine[S]) settleRound(activated []int) {
-	if len(activated) == e.p.N() {
-		e.rounds++
-		e.startRound()
+// settled, a round completes and the next one is charged.
+//
+// The first step of a round settles owedList: when all n fired, every
+// owed vertex is discharged by firing (a selection is a subset of the
+// enabled vertices) — the steady state of a synchronous execution;
+// otherwise mergeOwed walks the sorted owed and activated lists once.
+// Every synchronous round ends at its first step. An incremental engine
+// whose round survives it has marked the remainder in owedMark; from
+// then on a step discharges its activated vertices and, of the vertices
+// its refresh re-evaluated (dirty; nil after a dense rebuild, which
+// re-evaluated all of them — ruleOf is then scanned only while something
+// is owed), those now disabled: O(Δ + |dirty|). That is exact: an owed
+// vertex was enabled after the previous step, and its guard reads no
+// state the step changed unless it is dirty.
+func (e *Engine[S]) settleRound(activated, dirty []int) {
+	n := len(e.allVerts)
+	if e.owedCount == 0 {
+		if len(activated) == n {
+			e.rounds++
+			e.startRound()
+		} else {
+			e.mergeOwed(activated)
+		}
 		return
 	}
+	for _, v := range activated {
+		e.discharge(v)
+	}
+	if dirty != nil {
+		for _, u := range dirty {
+			if e.ruleOf[u] == NoRule {
+				e.discharge(u)
+			}
+		}
+	} else {
+		for v := 0; v < n && e.owedCount > 0; v++ {
+			if e.ruleOf[v] == NoRule {
+				e.discharge(v)
+			}
+		}
+	}
+	if e.owedCount == 0 {
+		e.rounds++
+		e.startRound()
+	}
+}
+
+// mergeOwed settles owedList by one merge pass against the sorted
+// activated list. An incremental engine marks what is left, so later
+// steps of the round need not walk it.
+func (e *Engine[S]) mergeOwed(activated []int) {
 	out := e.owedBuf[:0]
 	j := 0
 	for _, v := range e.owedList {
@@ -468,6 +528,24 @@ func (e *Engine[S]) settleRound(activated []int) {
 	if len(out) == 0 {
 		e.rounds++
 		e.startRound()
+		return
+	}
+	if e.loc != nil {
+		if e.owedMark == nil {
+			e.owedMark = make([]bool, len(e.allVerts))
+		}
+		for _, v := range out {
+			e.owedMark[v] = true
+		}
+		e.owedCount = len(out)
+	}
+}
+
+// discharge settles v if it is still owed by a marked round.
+func (e *Engine[S]) discharge(v int) {
+	if e.owedMark[v] {
+		e.owedMark[v] = false
+		e.owedCount--
 	}
 }
 
@@ -554,20 +632,25 @@ func (e *Engine[S]) GuardEvals() int64 { return e.guardEvals }
 // incrementally via the protocol's Local declaration.
 func (e *Engine[S]) Incremental() bool { return e.loc != nil }
 
-// Influence returns the engine's influence sets in CSR form: row v,
-// adj[off[v]:off[v+1]], lists in increasing order v and every vertex whose
-// guard reads v's state. Both slices are shared and read-only, and nil
-// when the engine is not incremental. DisableIncremental drops the
-// engine's references but never writes the arrays, so rows read earlier
-// stay valid.
-func (e *Engine[S]) Influence() (off, adj []int) { return e.influenceOff, e.influenceAdj }
-
 // DisableIncremental switches the engine to full guard rescans even when
 // the protocol declares Local. The execution itself is unaffected — only
 // the guard-evaluation cost changes — which is exactly what the
 // differential tests exploit to prove the tracker sound. Safe to call at
-// any point of an execution.
+// any point of an execution: a round whose owed vertices are marked gets
+// them back as a sorted owedList, which full-rescan settlement merges.
 func (e *Engine[S]) DisableIncremental() {
+	if e.owedCount > 0 {
+		out := e.owedBuf[:0]
+		for v, owed := range e.owedMark {
+			if owed {
+				out = append(out, v)
+			}
+		}
+		e.owedBuf = out
+		e.owedList = out
+		e.owedCount = 0
+	}
+	e.owedMark = nil
 	e.loc = nil
 	e.influenceOff = nil
 	e.influenceAdj = nil
@@ -640,13 +723,18 @@ func (e *Engine[S]) SetConfig(c Config[S]) error {
 	if e.loc != nil {
 		e.refreshDense()
 	}
+	if e.owedCount > 0 {
+		clear(e.owedMark)
+		e.owedCount = 0
+	}
 	e.startRound()
 	return nil
 }
 
 // Enabled returns the enabled vertices of the current configuration, in
 // increasing order; the slice is owned by the engine and read-only (it is
-// the engine's identity list when every vertex is enabled). In
+// the engine's identity list when every vertex is enabled), and valid
+// until the next Step or SetConfig, which may overwrite it in place. In
 // incremental mode this is the maintained set (no guard evaluations);
 // otherwise it is recomputed with a full sweep.
 func (e *Engine[S]) Enabled() []int {
@@ -667,17 +755,19 @@ func (e *Engine[S]) Enabled() []int {
 func (e *Engine[S]) EnabledCount() int { return len(e.enabled) }
 
 // refreshEnabled updates the incremental enabled set after the vertices in
-// activated changed state: every activated vertex's influence set is
-// re-evaluated (batched, and sharded when large) and the enabled list is
-// patched. Sparse dirty sets are spliced into the sorted list by a linear
-// merge; dense ones — the synchronous-daemon regime, where the dirty set
-// approaches the whole vertex set — skip the bookkeeping and re-scan with
-// batch kernels (refreshDense). Every strategy produces the identical
-// sorted enabled list.
-func (e *Engine[S]) refreshEnabled(activated []int) {
-	if 4*len(activated) >= e.p.N() {
+// activated changed state and returns the vertices it re-evaluated (nil
+// when it re-evaluated all of them). Dense selections — the
+// synchronous-daemon regime — skip the bookkeeping and re-scan with batch
+// kernels (refreshDense). Otherwise every activated vertex's influence
+// set is re-evaluated (batched, and sharded when large), and each dirty
+// vertex whose enabledness flipped is inserted into or deleted from the
+// sorted enabled list in place: one binary search and one shift, with no
+// merge of the whole list. Both strategies produce the identical sorted
+// enabled list.
+func (e *Engine[S]) refreshEnabled(activated []int) []int {
+	if 4*len(activated) >= len(e.allVerts) {
 		e.refreshDense()
-		return
+		return nil
 	}
 	e.dirty = e.dirty[:0]
 	for _, v := range activated {
@@ -688,50 +778,49 @@ func (e *Engine[S]) refreshEnabled(activated []int) {
 			}
 		}
 	}
-	n := e.p.N()
 	k := len(e.dirty)
-	dense := 4*k >= n
-	if !dense {
-		sort.Ints(e.dirty)
-	}
 	e.guardEvals += int64(k)
 	e.dirtyRules = growSlice(e.dirtyRules, k)
 	e.forShards(k, phaseRefreshDirty)
 	for i, u := range e.dirty {
-		e.ruleOf[u] = e.dirtyRules[i]
 		e.dirtyMark[u] = false
-	}
-	if dense {
-		out := e.enabledAlt[:0]
-		for v, r := range e.ruleOf {
-			if r != NoRule {
-				out = append(out, v)
-			}
+		r := e.dirtyRules[i]
+		if (r == NoRule) != (e.ruleOf[u] == NoRule) {
+			e.patchEnabled(u, r != NoRule)
 		}
-		e.installEnabled(out)
-		return
+		e.ruleOf[u] = r
 	}
-	// Merge: keep non-dirty entries of the old enabled list, splice dirty
-	// vertices back in by their fresh enabledness. Both inputs are sorted,
-	// so one linear pass rebuilds the list in increasing order.
-	out := e.enabledAlt[:0]
-	i, j := 0, 0
-	for i < len(e.enabled) || j < len(e.dirty) {
-		switch {
-		case j == len(e.dirty) || (i < len(e.enabled) && e.enabled[i] < e.dirty[j]):
-			out = append(out, e.enabled[i])
-			i++
-		default:
-			if i < len(e.enabled) && e.enabled[i] == e.dirty[j] {
-				i++
-			}
-			if e.ruleOf[e.dirty[j]] != NoRule {
-				out = append(out, e.dirty[j])
-			}
-			j++
-		}
+	if len(e.enabled) == len(e.allVerts) {
+		e.enabled = e.allVerts
 	}
-	e.installEnabled(out)
+	return e.dirty
+}
+
+// patchEnabled inserts u into the sorted enabled list, or deletes it,
+// in place. A full list is allVerts, which is never written, so it is
+// first copied into enabledOwn, whose capacity n bounds every insertion.
+func (e *Engine[S]) patchEnabled(u int, enabled bool) {
+	if len(e.enabled) == len(e.allVerts) {
+		e.enabled = append(e.enabledOwn[:0], e.allVerts...)
+	}
+	e.enabled = PatchSorted(e.enabled, u, enabled)
+}
+
+// PatchSorted inserts u into the increasing list l (insert), or deletes
+// it, in place — one binary search and one shift — and returns the
+// patched list. u must be absent from l to insert, with cap(l) > len(l),
+// and present to delete. It is how the engine's enabled list and the
+// lists that hooks maintain over StepInfo.Dirty follow a step.
+func PatchSorted(l []int, u int, insert bool) []int {
+	i, _ := slices.BinarySearch(l, u)
+	if insert {
+		l = l[:len(l)+1]
+		copy(l[i+1:], l[i:])
+		l[i] = u
+		return l
+	}
+	copy(l[i:], l[i+1:])
+	return l[:len(l)-1]
 }
 
 // refreshDirtyShard is refreshEnabled's shard body: re-evaluate the guards
@@ -764,7 +853,7 @@ func (e *Engine[S]) Step() (bool, error) {
 	// where the general path would rebuild the enabled list with
 	// refreshDense anyway; sparse fronts stay on the general path, whose
 	// dirty-set merge beats a full rescan there.
-	if e.sd && e.loc != nil && 4*len(enabled) >= e.p.N() {
+	if e.sd && e.loc != nil && 4*len(enabled) >= len(e.allVerts) {
 		return e.stepFused(enabled)
 	}
 	if e.sd {
@@ -777,8 +866,8 @@ func (e *Engine[S]) Step() (bool, error) {
 	}
 	if !sort.IntsAreSorted(e.selected) {
 		// Daemons normally select in increasing id order (StepInfo
-		// documents it); normalize the rare exception so the sorted-merge
-		// round settlement and the hook contract stay valid.
+		// documents it); normalize the rare exception so the first-step
+		// merge of round settlement and the hook contract stay valid.
 		sort.Ints(e.selected)
 	}
 	if err := e.evalMoves(); err != nil {
@@ -787,11 +876,12 @@ func (e *Engine[S]) Step() (bool, error) {
 	e.commitMoves()
 	e.steps++
 	e.moves += len(e.selected)
+	var dirty []int
 	if e.loc != nil {
-		e.refreshEnabled(e.selected)
+		dirty = e.refreshEnabled(e.selected)
 	}
-	e.settleRound(e.selected)
-	e.fireHooks(StepInfo{Step: e.steps, Activated: e.selected, Rules: e.rules})
+	e.settleRound(e.selected, dirty)
+	e.fireHooks(StepInfo{Step: e.steps, Activated: e.selected, Rules: e.rules, Dirty: dirty})
 	return true, nil
 }
 
@@ -822,7 +912,7 @@ func (e *Engine[S]) random() *rand.Rand {
 // rebuild, as on the general dense path), hook order — is bitwise
 // identical to the general path; the differential matrix pins this.
 func (e *Engine[S]) stepFused(activated []int) (bool, error) {
-	n := e.p.N()
+	n := len(e.allVerts)
 	k := len(activated)
 	w := e.w
 	e.rules = growSlice(e.rules, n)
@@ -854,7 +944,7 @@ func (e *Engine[S]) stepFused(activated []int) (bool, error) {
 	// round against the fresh ruleOf, then fire hooks. refreshDense swaps
 	// the enabled buffers but leaves activated's backing array intact.
 	e.refreshDense()
-	e.settleRound(activated)
+	e.settleRound(activated, nil)
 	e.fireHooks(StepInfo{Step: e.steps, Activated: activated, Rules: e.rules[:k]})
 	return true, nil
 }

@@ -10,3 +10,7 @@ func (e *Engine[S]) Seeded() bool { return e.src.seeded }
 
 // HasPool reports whether the engine has a worker pool, its own or shared.
 func (e *Engine[S]) HasPool() bool { return e.pool != nil }
+
+// OwedMarked returns the number of owed vertices the current round holds
+// in marks; 0 while the round is settled by merging its owed list.
+func (e *Engine[S]) OwedMarked() int { return e.owedCount }

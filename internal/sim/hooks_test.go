@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"slices"
 	"testing"
 
 	"specstab/internal/daemon"
@@ -112,5 +113,32 @@ func TestStepInfoClone(t *testing.T) {
 	retained[0].Activated[0] = -1
 	if retained[1].Activated[0] == -1 {
 		t.Fatal("clones alias the same backing array")
+	}
+
+	// On a legitimate 16-ring one token moves per step, so every refresh is
+	// sparse and the info carries its dirty set: the token's holder and its
+	// successor, which reads it.
+	const n = 16
+	sparse := sim.MustEngine[int](dijkstra.MustNew(n, n), daemon.NewSynchronous[int](), make(sim.Config[int], n), 1)
+	var live [][]int
+	retained = retained[:0]
+	sparse.AddHook(func(info sim.StepInfo) {
+		live = append(live, info.Dirty)
+		retained = append(retained, info.Clone())
+	})
+	for i := 0; i < 4; i++ {
+		if _, err := sparse.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, info := range retained {
+		v := info.Activated[0]
+		want := []int{v, (v + 1) % n}
+		if got := slices.Sorted(slices.Values(info.Dirty)); !slices.Equal(got, want) {
+			t.Fatalf("cloned info %d: dirty %v, want %v", i, info.Dirty, want)
+		}
+		if &info.Dirty[0] == &live[i][0] {
+			t.Fatalf("cloned info %d shares the engine's dirty buffer", i)
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"specstab/internal/bfstree"
 	"specstab/internal/compose"
 	"specstab/internal/core"
-	"specstab/internal/daemon"
 	"specstab/internal/dijkstra"
 	"specstab/internal/graph"
 	"specstab/internal/lexclusion"
@@ -54,24 +53,20 @@ func checkCSR(t *testing.T, name string, off, adj []int, want [][]int) {
 	}
 }
 
-// checkEngineInfluence builds an incremental engine on p and compares its
-// influence rows with the oracle's.
-func checkEngineInfluence[S comparable](t *testing.T, name string, p sim.Protocol[S]) {
+// checkInfluence compares the CSR influence rows of p's locality
+// declaration, the rows an incremental engine on p maintains its enabled
+// set over, with the oracle's.
+func checkInfluence[S comparable](t *testing.T, name string, p sim.Protocol[S]) {
 	t.Helper()
 	l := sim.LocalOf(p)
 	if l == nil {
 		t.Fatalf("%s does not declare sim.Local", name)
 	}
-	initial := sim.RandomConfig(p, rand.New(rand.NewSource(1)))
-	e, err := sim.NewEngineWith(p, daemon.NewMinIDCentral[S](), initial, 1, sim.Options{Workers: 1})
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	off, adj := e.Influence()
+	off, adj := sim.InfluenceCSR(p.N(), l)
 	checkCSR(t, name, off, adj, influenceOracle(p.N(), l))
 }
 
-// TestInfluenceCSRMatchesOracle pins the engine's CSR influence sets to
+// TestInfluenceCSRMatchesOracle pins the CSR influence sets to
 // the per-vertex builder they replaced, for every Local protocol on the
 // quick topology zoo of the experiments, on hand-written read-sets that
 // list duplicates and the vertex itself, and without a declaration.
@@ -86,18 +81,18 @@ func TestInfluenceCSRMatchesOracle(t *testing.T) {
 	}
 	for _, g := range zoo {
 		name := g.Name()
-		checkEngineInfluence[int](t, name+"/ssme", core.MustNew(g))
-		checkEngineInfluence[int](t, name+"/bfstree", bfstree.MustNew(g, 0))
-		checkEngineInfluence[matching.State](t, name+"/matching", matching.New(g))
-		checkEngineInfluence[int](t, name+"/lexclusion", lexclusion.MustNew(g, 2))
+		checkInfluence[int](t, name+"/ssme", core.MustNew(g))
+		checkInfluence[int](t, name+"/bfstree", bfstree.MustNew(g, 0))
+		checkInfluence[matching.State](t, name+"/matching", matching.New(g))
+		checkInfluence[int](t, name+"/lexclusion", lexclusion.MustNew(g, 2))
 		uni, err := unison.New(g, unison.MinimalParams(g))
 		if err != nil {
 			t.Fatalf("%s/unison: %v", name, err)
 		}
-		checkEngineInfluence[int](t, name+"/unison", uni)
-		checkEngineInfluence[compose.Pair[int, int]](t, name+"/product", compose.MustNew[int, int](uni, bfstree.MustNew(g, g.N()-1)))
+		checkInfluence[int](t, name+"/unison", uni)
+		checkInfluence[compose.Pair[int, int]](t, name+"/product", compose.MustNew[int, int](uni, bfstree.MustNew(g, g.N()-1)))
 	}
-	checkEngineInfluence[int](t, "dijkstra", dijkstra.MustNew(8, 8))
+	checkInfluence[int](t, "dijkstra", dijkstra.MustNew(8, 8))
 
 	lists := sim.NeighborLists{
 		{1, 1, 0, 3, 3, 3}, // v itself and repeated neighbours

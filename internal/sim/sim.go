@@ -109,11 +109,13 @@ type Daemon[S comparable] interface {
 	// Name identifies the daemon in reports (e.g. "sd", "ud/random-central").
 	Name() string
 	// Select chooses the vertices to activate this step and returns
-	// append(dst, chosen...). c, enabled and dst are owned by the engine:
-	// c and enabled are read-only, and dst — the engine's selection
-	// buffer, passed empty — must not be retained past the call. The
-	// result must be dst grown by append, never enabled or a slice the
-	// daemon keeps, since the engine reuses it as the next call's dst.
+	// append(dst, chosen...). c, enabled and dst are owned by the engine
+	// and valid only during the call: c and enabled are read-only (the
+	// engine patches the enabled list in place on later steps), and dst —
+	// the engine's selection buffer, passed empty — must not be retained
+	// either. The result must be dst grown by append, never enabled or a
+	// slice the daemon keeps, since the engine reuses it as the next
+	// call's dst.
 	Select(c Config[S], enabled []int, rng *rand.Rand, dst []int) []int
 }
 
