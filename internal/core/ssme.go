@@ -159,8 +159,8 @@ func (p *Protocol) PrivilegedSet(c sim.Config[int]) []int {
 // PrivilegedCount returns |PrivilegedSet(c)| without allocating.
 func (p *Protocol) PrivilegedCount(c sim.Config[int]) int {
 	count := 0
-	for v, r := range c[:p.n] {
-		if r == p.twoN+p.twoDiam*v {
+	for v := range c[:p.n] {
+		if p.Privileged(c, v) {
 			count++
 		}
 	}

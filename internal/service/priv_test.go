@@ -19,9 +19,11 @@ import (
 // each step's dirty set equals a full sweep of the lock's predicate after
 // every tick, across live fault bursts, for every lock under sd, central
 // and distributed daemons. The 40-vertex rings keep central and sparse
-// distributed steps below the engine's dense-refresh threshold, so most
-// ticks patch the list in place; sd ticks from a random start and the
-// bursts rebuild it.
+// distributed steps below the engine's dense-refresh threshold, so ticks
+// patch the list in place when few privileges flip on a short list and
+// rebuild it from the flags when many flip on a long one (Dijkstra from a
+// random start, where most vertices hold a privilege); sd ticks from a
+// random start and the bursts rebuild it by a sweep.
 func TestPrivilegeListMatchesSweep(t *testing.T) {
 	t.Parallel()
 	const n = 40
@@ -43,7 +45,7 @@ func TestPrivilegeListMatchesSweep(t *testing.T) {
 		{"central", func() sim.Daemon[int] { return daemon.NewRandomCentral[int]() }},
 		{"distributed", func() sim.Daemon[int] { return daemon.NewDistributed[int](0.1) }},
 	}
-	sparse := 0
+	patched, rebuilt := 0, 0
 	for _, lc := range locks {
 		for _, dc := range daemons {
 			for _, opts := range []sim.Options{{Workers: 1}, {Workers: 4, ShardSize: 2}} {
@@ -54,11 +56,9 @@ func TestPrivilegeListMatchesSweep(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s.Engine().AddHook(func(info sim.StepInfo) {
-					if info.Dirty != nil {
-						sparse++
-					}
-				})
+				sparse := false
+				s.Engine().AddHook(func(info sim.StepInfo) { sparse = info.Dirty != nil })
+				var before []int
 				checkPrivileges(t, name+"/start", lc.lock, s)
 				for tick := 1; tick <= 600; tick++ {
 					if tick%200 == 0 {
@@ -67,17 +67,43 @@ func TestPrivilegeListMatchesSweep(t *testing.T) {
 						}
 						checkPrivileges(t, fmt.Sprintf("%s/burst@%d", name, tick), lc.lock, s)
 					}
+					before = append(before[:0], s.PrivList()...)
+					sparse = false
 					if _, err := s.Tick(); err != nil {
 						t.Fatal(err)
+					}
+					if flips := symmetricDifference(before, s.PrivList()); sparse && flips > 0 {
+						if flips*len(before) <= n {
+							patched++
+						} else {
+							rebuilt++
+						}
 					}
 					checkPrivileges(t, fmt.Sprintf("%s/tick %d", name, tick), lc.lock, s)
 				}
 			}
 		}
 	}
-	if sparse == 0 {
-		t.Fatal("no step re-evaluated a sparse dirty set; the privilege list was never patched")
+	if patched == 0 || rebuilt == 0 {
+		t.Fatalf("sparse ticks patched the privilege list %d times and rebuilt it %d times; both must occur", patched, rebuilt)
 	}
+}
+
+// symmetricDifference returns the number of entries in exactly one of the
+// increasing lists a and b.
+func symmetricDifference(a, b []int) int {
+	d := 0
+	for _, v := range a {
+		if _, ok := slices.BinarySearch(b, v); !ok {
+			d++
+		}
+	}
+	for _, v := range b {
+		if _, ok := slices.BinarySearch(a, v); !ok {
+			d++
+		}
+	}
+	return d
 }
 
 // checkPrivileges fails t unless s's privilege list and count equal a

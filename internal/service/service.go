@@ -24,8 +24,10 @@
 //
 // The privilege set rides on the engine's enabled-set tracking: each
 // step's hook hands over the vertices the engine re-evaluated, and the
-// Sim patches its sorted privilege list over exactly those, so a sparse
-// tick costs O(Δ·deg) beyond the step rather than a sweep of the ring.
+// Sim re-evaluates privilege over exactly those, so a sparse tick costs
+// O(Δ·deg) privilege evaluations beyond the step rather than a sweep of
+// the ring. A few flips are patched into the sorted privilege list in
+// place; many flips on a long list rebuild it from the flags in O(n).
 //
 // Everything is deterministic for a fixed seed: the service draws all of
 // its randomness (arrival processes, think times, burst targets) from one
@@ -238,23 +240,39 @@ func (s *Sim) rescanPriv() {
 }
 
 // refreshPriv patches the privilege set after a step that re-evaluated
-// the guards of dirty (see Lock: no other vertex can change privilege).
-// Each vertex whose privilege flipped is inserted into or deleted from
-// the sorted list in place; a nil dirty set means any vertex may have
-// changed, and the set is rebuilt by a sweep.
+// the guards of dirty (see Lock: no other vertex can change privilege);
+// a nil dirty set means any vertex may have changed, and the set is
+// rebuilt by a sweep. Each vertex whose privilege flipped is inserted
+// into or deleted from the sorted list in place (sim.PatchSorted). A
+// shift moves about half the list, so once the flips times the list
+// length pass n, the remaining flips only set their flags and the list
+// is rebuilt from priv in one pass.
 func (s *Sim) refreshPriv(dirty []int) {
 	if dirty == nil {
 		s.rescanPriv()
 		return
 	}
 	c := s.eng.Current()
+	flips, rebuild := 0, false
 	for _, u := range dirty {
 		p := s.lock.Privileged(c, u)
 		if p == s.priv[u] {
 			continue
 		}
 		s.priv[u] = p
-		s.privList = sim.PatchSorted(s.privList, u, p)
+		if flips++; !rebuild && flips*len(s.privList) <= s.n {
+			s.privList = sim.PatchSorted(s.privList, u, p)
+		} else {
+			rebuild = true
+		}
+	}
+	if rebuild {
+		s.privList = s.privList[:0]
+		for v, p := range s.priv {
+			if p {
+				s.privList = append(s.privList, v)
+			}
+		}
 	}
 }
 

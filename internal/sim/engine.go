@@ -195,10 +195,11 @@ type Engine[S comparable] struct {
 	guardEvals int64
 
 	// The enabled list is allVerts when every vertex is enabled, otherwise
-	// a prefix of enabledOwn (capacity n). Dense rebuilds write only into
+	// a prefix of enabledOwn (capacity n). Rebuilds write only into
 	// enabledAlt, which never aliases the current list or allVerts (see
-	// installEnabled); a sparse refresh patches enabledOwn in place,
-	// copying allVerts into it first when the list was full.
+	// installEnabled); a sparse refresh that flips few vertices patches
+	// enabledOwn in place, copying allVerts into it first when the list
+	// was full.
 	enabled    []int
 	enabledOwn []int
 	enabledAlt []int
@@ -759,13 +760,17 @@ func (e *Engine[S]) EnabledCount() int { return len(e.enabled) }
 // when it re-evaluated all of them). Dense selections — the
 // synchronous-daemon regime — skip the bookkeeping and re-scan with batch
 // kernels (refreshDense). Otherwise every activated vertex's influence
-// set is re-evaluated (batched, and sharded when large), and each dirty
-// vertex whose enabledness flipped is inserted into or deleted from the
-// sorted enabled list in place: one binary search and one shift, with no
-// merge of the whole list. Both strategies produce the identical sorted
-// enabled list.
+// set is re-evaluated (batched, and sharded when large). A few flips of
+// enabledness (at most
+// patchMaxFlips — a central step flips two or three) are patched into the
+// sorted enabled list in place, one binary search and one shift each.
+// More flips rebuild the list in one pass, since each shift moves about
+// half the list: a dense dirty set by a scan of ruleOf, a sparse one by a
+// linear merge of the sorted dirty set into the old list. Every strategy
+// produces the identical sorted enabled list.
 func (e *Engine[S]) refreshEnabled(activated []int) []int {
-	if 4*len(activated) >= len(e.allVerts) {
+	n := len(e.allVerts)
+	if 4*len(activated) >= n {
 		e.refreshDense()
 		return nil
 	}
@@ -782,18 +787,81 @@ func (e *Engine[S]) refreshEnabled(activated []int) []int {
 	e.guardEvals += int64(k)
 	e.dirtyRules = growSlice(e.dirtyRules, k)
 	e.forShards(k, phaseRefreshDirty)
+	// A dirty set no larger than patchMaxFlips cannot flip more, so the
+	// flips are counted only past it.
+	patch := k <= patchMaxFlips || e.countFlips() <= patchMaxFlips
 	for i, u := range e.dirty {
 		e.dirtyMark[u] = false
 		r := e.dirtyRules[i]
-		if (r == NoRule) != (e.ruleOf[u] == NoRule) {
+		if patch && (r == NoRule) != (e.ruleOf[u] == NoRule) {
 			e.patchEnabled(u, r != NoRule)
 		}
 		e.ruleOf[u] = r
 	}
-	if len(e.enabled) == len(e.allVerts) {
+	if !patch {
+		e.rebuildEnabled()
+	} else if len(e.enabled) == n {
 		e.enabled = e.allVerts
 	}
 	return e.dirty
+}
+
+// patchMaxFlips is the most enabledness flips refreshEnabled patches in
+// place. A shift moves about half the enabled list, and a merge walks it
+// once at several times the cost per entry of a shift, so a handful of
+// shifts is the crossover (BenchmarkStepIncremental for one flip per
+// step; a distributed daemon on a random Dijkstra ring, flipping hundreds
+// per step, for the merge).
+const patchMaxFlips = 8
+
+// countFlips counts the dirty vertices whose fresh rule in dirtyRules
+// differs in enabledness from ruleOf.
+func (e *Engine[S]) countFlips() int {
+	flips := 0
+	for i, u := range e.dirty {
+		if (e.dirtyRules[i] == NoRule) != (e.ruleOf[u] == NoRule) {
+			flips++
+		}
+	}
+	return flips
+}
+
+// rebuildEnabled rebuilds the enabled list after a sparse refresh that
+// flipped too many vertices to patch; ruleOf is fresh. A dense dirty set
+// scans ruleOf. A sparse one is sorted (StepInfo leaves it unordered) and
+// merged: the old list's clean entries are kept and the dirty vertices
+// spliced back in by their enabledness, one linear pass over two sorted
+// inputs.
+func (e *Engine[S]) rebuildEnabled() {
+	if 4*len(e.dirty) >= len(e.allVerts) {
+		out := e.enabledAlt[:0]
+		for v, r := range e.ruleOf {
+			if r != NoRule {
+				out = append(out, v)
+			}
+		}
+		e.installEnabled(out)
+		return
+	}
+	sort.Ints(e.dirty)
+	out := e.enabledAlt[:0]
+	i, j := 0, 0
+	for i < len(e.enabled) || j < len(e.dirty) {
+		switch {
+		case j == len(e.dirty) || (i < len(e.enabled) && e.enabled[i] < e.dirty[j]):
+			out = append(out, e.enabled[i])
+			i++
+		default:
+			if i < len(e.enabled) && e.enabled[i] == e.dirty[j] {
+				i++
+			}
+			if e.ruleOf[e.dirty[j]] != NoRule {
+				out = append(out, e.dirty[j])
+			}
+			j++
+		}
+	}
+	e.installEnabled(out)
 }
 
 // patchEnabled inserts u into the sorted enabled list, or deletes it,
@@ -852,7 +920,7 @@ func (e *Engine[S]) Step() (bool, error) {
 	// front with incremental tracking takes the fused path — the regime
 	// where the general path would rebuild the enabled list with
 	// refreshDense anyway; sparse fronts stay on the general path, whose
-	// dirty-set merge beats a full rescan there.
+	// dirty-set refresh beats a full rescan there.
 	if e.sd && e.loc != nil && 4*len(enabled) >= len(e.allVerts) {
 		return e.stepFused(enabled)
 	}

@@ -14,3 +14,7 @@ func (e *Engine[S]) HasPool() bool { return e.pool != nil }
 // OwedMarked returns the number of owed vertices the current round holds
 // in marks; 0 while the round is settled by merging its owed list.
 func (e *Engine[S]) OwedMarked() int { return e.owedCount }
+
+// PatchMaxFlips is the most enabledness flips a sparse refresh patches
+// into the enabled list in place; more rebuild it.
+const PatchMaxFlips = patchMaxFlips

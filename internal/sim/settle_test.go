@@ -6,7 +6,9 @@ package sim_test
 // against settlement by a sorted merge of the owed list — the engine's
 // settlement before owed marks. The runs cross SetConfig and
 // DisableIncremental in mid-round, while the engine's owed vertices are
-// marked, and rounds that end at their first step.
+// marked, and rounds that end at their first step, and they reach each
+// way a sparse refresh updates the enabled list: patching a few flips in
+// place, and rebuilding it by a merge or a scan when many flip.
 
 import (
 	"fmt"
@@ -75,6 +77,34 @@ type settleCoverage struct {
 	markedSetCfg   int // SetConfig calls while owed vertices were marked
 	markedDisable  int // DisableIncremental calls while owed vertices were marked
 	firstStepRound int // rounds that ended at their first step
+	patched        int // sparse refreshes that patched the enabled list in place
+	merged         int // sparse refreshes that rebuilt it by a merge
+	scanned        int // sparse refreshes that rebuilt it by a scan of the rules
+}
+
+// countRefresh classifies one incremental sparse refresh by the rule the
+// engine applies: a few flips are patched, more rebuild the list, by a
+// scan when the dirty set is dense and by a merge otherwise.
+func (c *settleCoverage) countRefresh(before, after []int, dirty, n int) {
+	flips := 0
+	for _, v := range before {
+		if _, ok := slices.BinarySearch(after, v); !ok {
+			flips++
+		}
+	}
+	for _, v := range after {
+		if _, ok := slices.BinarySearch(before, v); !ok {
+			flips++
+		}
+	}
+	switch {
+	case flips <= sim.PatchMaxFlips:
+		c.patched++
+	case 4*dirty >= n:
+		c.scanned++
+	default:
+		c.merged++
+	}
 }
 
 // checkSettlement drives one engine for steps transitions, injecting a
@@ -92,8 +122,15 @@ func checkSettlement[S comparable](t *testing.T, name string, p sim.Protocol[S],
 	defer e.Close()
 	ref := &mergeSettler[S]{p: p}
 	ref.charge(initial)
-	var fired []int
-	e.AddHook(func(info sim.StepInfo) { fired = append(fired[:0], info.Activated...) })
+	var fired, before []int
+	dirty := -1
+	e.AddHook(func(info sim.StepInfo) {
+		fired = append(fired[:0], info.Activated...)
+		dirty = -1
+		if info.Dirty != nil {
+			dirty = len(info.Dirty)
+		}
+	})
 	roundStart := 0
 	for i := 1; i <= steps; i++ {
 		switch i {
@@ -116,6 +153,10 @@ func checkSettlement[S comparable](t *testing.T, name string, p sim.Protocol[S],
 		if e.OwedMarked() > 0 {
 			cov.markedSteps++
 		}
+		incremental := e.Incremental()
+		if incremental {
+			before = append(before[:0], e.Enabled()...)
+		}
 		progressed, err := e.Step()
 		if err != nil {
 			t.Fatalf("%s step %d: %v", name, i, err)
@@ -126,6 +167,9 @@ func checkSettlement[S comparable](t *testing.T, name string, p sim.Protocol[S],
 		c := e.Current()
 		if want := sim.Enabled(p, c, nil); !slices.Equal(e.Enabled(), want) {
 			t.Fatalf("%s step %d: enabled list %v, guard sweep %v", name, i, e.Enabled(), want)
+		}
+		if incremental && dirty >= 0 {
+			cov.countRefresh(before, e.Enabled(), dirty, p.N())
 		}
 		if ref.settle(c, fired) {
 			if roundStart == e.Steps()-1 {
@@ -181,8 +225,23 @@ func TestSettlementMatchesMergeReference(t *testing.T) {
 	settleMatrix[matching.State](t, "matching-sparse", matching.New(bigGrid), 150, &cov)
 	settleMatrix[compose.Pair[int, int]](t, "product-sparse",
 		compose.MustNew[int, int](uniBig, bfstree.MustNew(bigRing, 0)), 120, &cov)
+	// Many flips per sparse step: a sparse distributed daemon on random
+	// 400-vertex rings (merges), and central moves at the centre of a
+	// star, which dirty every vertex (scans).
+	for seed := int64(1); seed <= 2; seed++ {
+		for _, opts := range []sim.Options{{Workers: 1}, {Workers: 4, ShardSize: 2}} {
+			dist := daemon.NewDistributed[int](0.03)
+			checkSettlement[int](t, fmt.Sprintf("dijkstra-400/distributed/w%d/seed%d", opts.Workers, seed),
+				dijkstra.MustNew(400, 400), dist, seed, opts, 150, &cov)
+			checkSettlement[int](t, fmt.Sprintf("ssme-ring-400/distributed/w%d/seed%d", opts.Workers, seed),
+				core.MustNew(graph.Ring(400)), dist, seed, opts, 150, &cov)
+			checkSettlement[int](t, fmt.Sprintf("ssme-star-40/central/w%d/seed%d", opts.Workers, seed),
+				core.MustNew(graph.Star(40)), daemon.NewRandomCentral[int](), seed, opts, 300, &cov)
+		}
+	}
 	t.Logf("coverage: %+v", cov)
-	if cov.markedSteps == 0 || cov.markedSetCfg == 0 || cov.markedDisable == 0 || cov.firstStepRound == 0 {
+	if cov.markedSteps == 0 || cov.markedSetCfg == 0 || cov.markedDisable == 0 || cov.firstStepRound == 0 ||
+		cov.patched == 0 || cov.merged == 0 || cov.scanned == 0 {
 		t.Fatalf("the runs missed a settlement case: %+v", cov)
 	}
 }
