@@ -2,10 +2,11 @@
 // an in-process loopback ring free-running b.N BSP rounds, the workload
 // the zero-allocation pipelined transport optimizes. Every node is a
 // real *netrun.Node with real TCP loopback connections — the measured
-// ns/round is the full cost of one superstep: shard evaluation, frame
-// encode, fan-out writes, the receive barrier, commit and journal
-// bookkeeping. BENCH_netrun.json records the baseline trajectory,
-// including the pre-PR (allocating, sequential-barrier) transport's row.
+// ns/round is the full cost of one superstep: the shard's selection,
+// frame encode, fan-out writes, the receive barrier, the engine step on
+// the union selection, and journal and gate bookkeeping.
+// BENCH_netrun.json records the rows with their commits and the 1-core
+// rows of the earlier frame format under historical_1core.
 //
 // Run with:
 //

@@ -1,7 +1,7 @@
 // Command lockd is one node of the networked lock service
-// (internal/netrun, DESIGN.md §13): it owns a contiguous shard of the
-// ring's vertices, exchanges packed flat-state frames with its peers over
-// TCP every round, and serves grants on named locks over HTTP/JSON
+// (internal/netrun, DESIGN.md §13): it schedules a contiguous shard of
+// the ring's vertices, exchanges selection frames with its peers over TCP
+// every round, steps its engine on their union, and serves grants on named locks over HTTP/JSON
 // (POST /v1/acquire, POST /v1/release, GET /v1/status). Every node of a
 // deployment must be started with the same scenario flags and the same
 // -peers list — the hello handshake hash-checks the spec and refuses to

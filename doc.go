@@ -77,8 +77,8 @@
 //
 // The same execution deploys across OS processes (DESIGN.md §13):
 // internal/netrun shards the ring's vertices over nodes that exchange
-// packed flat-state frames over TCP in BSP rounds (a slow peer stalls a
-// round, never corrupts it), cmd/lockd serves acquire/release/status on
+// selection frames over TCP in BSP rounds and each step the engine on
+// their union (a slow peer stalls a round, never corrupts it), cmd/lockd serves acquire/release/status on
 // named locks over HTTP/JSON with round-denominated leases, and each
 // node journals the effective schedule so `lockd -replay` can re-verify
 // the whole run against the deterministic engine fingerprint-by-
@@ -86,8 +86,8 @@
 // transport round loop runs allocation-free in the steady state —
 // pooled refcounted frames, one vectored write per peer per round,
 // per-peer receive pumps feeding a concurrent barrier, and a buffered
-// journal — pinned by TestRoundLoopAllocs and measured against the
-// sequential baseline in BENCH_netrun.json.
+// journal — pinned by TestRoundLoopAllocs and measured in
+// BENCH_netrun.json.
 //
 // The determinism and capability contracts above are machine-checked:
 // `go run ./cmd/speclint ./...` (internal/lint, DESIGN.md §10) statically

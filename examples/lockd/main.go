@@ -1,7 +1,7 @@
 // Lockd: the networked lock service end to end, in one process
-// (DESIGN.md §13). A three-node ring — each node owning a shard of a
-// 12-vertex Dijkstra token ring, exchanging packed flat-state frames over
-// real loopback TCP — serves a scripted client session over HTTP/JSON,
+// (DESIGN.md §13). A three-node ring — each node scheduling a shard of a
+// 12-vertex Dijkstra token ring, exchanging selection frames over real
+// loopback TCP — serves a scripted client session over HTTP/JSON,
 // drains cleanly, and then proves the whole run: the journal's effective
 // schedule is replayed through the deterministic in-process engine under
 // the recorded daemon with a bitwise fingerprint match at every round.

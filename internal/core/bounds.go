@@ -15,11 +15,6 @@ func SyncBound(g *graph.Graph) int {
 	return (d + 1) / 2
 }
 
-// SyncBoundLower returns the Theorem 4 lower bound, which coincides with
-// SyncBound; it is exposed separately so call sites can say which theorem
-// they are exercising.
-func SyncBoundLower(g *graph.Graph) int { return SyncBound(g) }
-
 // UnfairBoundMoves returns the Theorem 3 move bound under the unfair
 // distributed daemon, instantiated with the paper's α = n:
 // 2·diam·n³ + (n+1)·n² + (n − 2·diam)·n ∈ O(diam(g)·n³).
@@ -37,8 +32,3 @@ func (p *Protocol) SyncUnisonHorizon() int { return 2*p.g.N() + p.g.Diameter() }
 // steps once legitimate (a locally minimal register is always enabled), so
 // 2K + SyncUnisonHorizon is a comfortable liveness-checking horizon.
 func (p *Protocol) ServiceWindow() int { return 2*p.x.K + p.SyncUnisonHorizon() }
-
-// DijkstraSyncSteps returns n, the synchronous stabilization time of
-// Dijkstra's ring protocol the paper quotes when motivating that
-// ⌈diam/2⌉ < n closes a 40-year-old question.
-func DijkstraSyncSteps(g *graph.Graph) int { return g.N() }

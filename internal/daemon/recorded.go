@@ -46,7 +46,4 @@ func (d *Recorded[S]) Select(_ sim.Config[S], _ []int, _ *rand.Rand, dst []int) 
 	return append(dst, sel...)
 }
 
-// Consumed returns the number of schedule entries replayed so far.
-func (d *Recorded[S]) Consumed() int { return d.next }
-
 var _ sim.Daemon[int] = (*Recorded[int])(nil)

@@ -43,8 +43,11 @@ type Protocol struct {
 }
 
 // New builds the protocol for a ring of n vertices with K counter states.
-// Self-stabilization under the unfair daemon requires K ≥ n; New enforces
-// it (see NewUnchecked for the ablation that drops the check).
+// Self-stabilization needs K ≥ n under the distributed daemon (ud), while
+// K ≥ n−1 suffices under the central daemon (cd) — Hoepman's bound; the
+// exhaustive checker finds K = n−1 cycles under ud for n = 3…7. New
+// enforces K ≥ n, which holds under both (see NewUnchecked for the
+// ablation that drops the check).
 func New(n, k int) (*Protocol, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("dijkstra: ring needs n ≥ 3, got %d", n)

@@ -24,10 +24,8 @@ func TestRoundLoopAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates; measured without -race")
 	}
 	src := &Frame{Kind: KindRound, Round: RoundFrame{
-		Round: 7, Node: 1, Words: 2, PrevFP: 0xfeedface,
-		Enabled: 3, Active: 1,
-		Sel:  []uint32{2, 5, 9},
-		Data: []int64{10, -11, 12, -13, 14, -15},
+		Round: 7, Node: 1, PrevFP: 0xfeedface, Active: 1,
+		Sel: []uint32{2, 5, 9},
 	}}
 	var dst Frame
 	encodeDecode := func() {
@@ -42,11 +40,11 @@ func TestRoundLoopAllocs(t *testing.T) {
 		}
 		w.release()
 	}
-	encodeDecode() // warm the pool and dst's Sel/Data capacity
+	encodeDecode() // warm the pool and dst's Sel capacity
 	if allocs := testing.AllocsPerRun(100, encodeDecode); allocs != 0 {
 		t.Fatalf("frame encode/decode path allocates %.2f per round, want exactly 0", allocs)
 	}
-	if dst.Round.Round != src.Round.Round || len(dst.Round.Sel) != 3 || dst.Round.Data[5] != -15 {
+	if dst.Round.Round != src.Round.Round || len(dst.Round.Sel) != 3 || dst.Round.Sel[2] != 9 {
 		t.Fatalf("decoded frame corrupted: %+v", dst.Round)
 	}
 }
@@ -160,7 +158,7 @@ func TestFramePoolSharedAcrossPumps(t *testing.T) {
 				}
 				r := &f.Round
 				if f.Kind != KindRound || r.Round != uint64(k) || len(r.Sel) != 2 ||
-					r.Data[0] != int64(k) || r.Data[1] != -int64(k) {
+					r.PrevFP != uint64(k) || r.Sel[1] != uint32(5+k%7) {
 					t.Errorf("frame %d arrived corrupted: %+v", k, r)
 					done <- nil
 					return
@@ -173,9 +171,8 @@ func TestFramePoolSharedAcrossPumps(t *testing.T) {
 		w := acquireWire()
 		var err error
 		w.b, err = AppendWireFrame(w.b, &Frame{Kind: KindRound, Round: RoundFrame{
-			Round: uint64(k), Node: 1, Words: 1, PrevFP: uint64(k),
-			Sel:  []uint32{uint32(k % 5), uint32(5 + k%7)},
-			Data: []int64{int64(k), -int64(k)},
+			Round: uint64(k), Node: 1, PrevFP: uint64(k),
+			Sel: []uint32{uint32(k % 5), uint32(5 + k%7)},
 		}})
 		if err != nil {
 			t.Fatal(err)

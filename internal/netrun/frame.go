@@ -1,9 +1,11 @@
 package netrun
 
 // The shard-frame wire codec. One frame is the complete per-round
-// contribution of one node: which shard vertices it activated and their
-// next packed words, plus the pre-round configuration fingerprint that
-// lets every receiver detect replica divergence before committing. The
+// contribution of one node: which shard vertices it activated, its
+// outstanding grant count, and the pre-round configuration fingerprint
+// that lets every receiver detect replica divergence before committing.
+// The frame carries no states: every node steps its own engine on the
+// union of the selections and computes every move itself. The
 // encoding is a fixed big-endian layout behind a length prefix — no
 // reflection, no varints — because the decoder doubles as a fuzz target:
 // DecodeFrame must reject every malformed input with an error, never a
@@ -13,13 +15,12 @@ package netrun
 // Layout (all big-endian, after the transport's 4-byte length prefix):
 //
 //	magic   u32  0x53504E52 ("SPNR")
-//	version u16  1
+//	version u16  2
 //	kind    u8   1=hello 2=round 3=bye
 //	body         per kind:
 //	  hello: node u32 | nodes u32 | specHash u64
-//	  round: round u64 | node u32 | words u16 | prevFP u64 |
-//	         enabled u32 | active u32 | selCount u32 |
-//	         selCount × (vertex u32) | selCount*words × (state u64)
+//	  round: round u64 | node u32 | prevFP u64 | active u32 |
+//	         selCount u32 | selCount × (vertex u32)
 //	  bye:   node u32 | round u64
 //
 // Version bumps are breaking by design: a frame of a different version is
@@ -32,16 +33,13 @@ import (
 
 // Wire constants. MaxFrame bounds the decoded payload so a corrupt
 // length prefix cannot make a receiver allocate gigabytes: 1<<26 bytes
-// holds a full-shard selection of ~1M single-word vertices.
+// holds a full-shard selection of ~16M vertices.
 const (
 	frameMagic   uint32 = 0x53504E52 // "SPNR"
-	frameVersion uint16 = 1
+	frameVersion uint16 = 2
 	// MaxFrame is the largest payload either side of the transport will
 	// encode or accept.
 	MaxFrame = 1 << 26
-	// maxWords bounds the per-vertex word count a frame may claim; the
-	// widest real protocol (a product of products) is far below it.
-	maxWords = 1 << 10
 )
 
 // Kind discriminates frame payloads.
@@ -85,23 +83,14 @@ type RoundFrame struct {
 	Round uint64
 	// Node is the sender's id.
 	Node uint32
-	// Words is the sender's per-vertex word count — a cheap codec
-	// agreement check on every frame.
-	Words uint16
 	// PrevFP is the sender's configuration fingerprint *before* this
 	// round: all participants must agree or the replicas have diverged.
 	PrevFP uint64
-	// Enabled counts the sender's shard vertices with an enabled guard
-	// this round (the ring is terminal when the sum over nodes is zero).
-	Enabled uint32
 	// Active counts the sender's outstanding grants, giving receivers a
 	// one-round-lagged view of global occupancy for capacity decisions.
 	Active uint32
 	// Sel lists the activated shard vertices in ascending order.
 	Sel []uint32
-	// Data holds the next packed words of each activated vertex,
-	// vertex-major: Sel[i]'s words at Data[i*Words : (i+1)*Words].
-	Data []int64
 }
 
 // Bye announces a clean shutdown after the sender's Round: the receiver
@@ -120,8 +109,12 @@ type Frame struct {
 	Bye   Bye
 }
 
-// headerLen is magic + version + kind.
-const headerLen = 4 + 2 + 1
+// headerLen is magic + version + kind; roundFixed is a round body's
+// fixed part: round, node, prevFP, active and the selection count.
+const (
+	headerLen  = 4 + 2 + 1
+	roundFixed = 8 + 4 + 8 + 4 + 4
+)
 
 // AppendFrame appends f's wire encoding (without the transport length
 // prefix) to dst and returns the extended slice. It validates the
@@ -138,33 +131,21 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 		dst = binary.BigEndian.AppendUint64(dst, f.Hello.SpecHash)
 	case KindRound:
 		r := &f.Round
-		if r.Words == 0 || r.Words > maxWords {
-			return nil, fmt.Errorf("netrun: frame words %d outside [1, %d]", r.Words, maxWords)
-		}
-		if len(r.Data) != len(r.Sel)*int(r.Words) {
-			return nil, fmt.Errorf("netrun: frame data %d words ≠ %d selections × %d words",
-				len(r.Data), len(r.Sel), r.Words)
-		}
 		for i := 1; i < len(r.Sel); i++ {
 			if r.Sel[i] <= r.Sel[i-1] {
 				return nil, fmt.Errorf("netrun: selection list not strictly ascending at index %d", i)
 			}
 		}
-		if size := headerLen + 30 + len(r.Sel)*4 + len(r.Data)*8; size > MaxFrame {
+		if size := headerLen + roundFixed + len(r.Sel)*4; size > MaxFrame {
 			return nil, fmt.Errorf("netrun: frame %d bytes exceeds MaxFrame %d", size, MaxFrame)
 		}
 		dst = binary.BigEndian.AppendUint64(dst, r.Round)
 		dst = binary.BigEndian.AppendUint32(dst, r.Node)
-		dst = binary.BigEndian.AppendUint16(dst, r.Words)
 		dst = binary.BigEndian.AppendUint64(dst, r.PrevFP)
-		dst = binary.BigEndian.AppendUint32(dst, r.Enabled)
 		dst = binary.BigEndian.AppendUint32(dst, r.Active)
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Sel)))
 		for _, v := range r.Sel {
 			dst = binary.BigEndian.AppendUint32(dst, v)
-		}
-		for _, w := range r.Data {
-			dst = binary.BigEndian.AppendUint64(dst, uint64(w))
 		}
 	case KindBye:
 		dst = binary.BigEndian.AppendUint32(dst, f.Bye.Node)
@@ -189,9 +170,9 @@ func DecodeFrame(p []byte) (*Frame, error) {
 
 // DecodeFrameInto parses one payload with DecodeFrame's exact semantics
 // and strictness, but decodes into f, reusing the capacity of
-// f.Round.Sel and f.Round.Data instead of allocating when they already
-// fit — the receive pumps decode every round into per-peer scratch
-// frames, so the steady-state decode path never touches the heap. Only
+// f.Round.Sel instead of allocating when it already fits — the receive
+// pumps decode every round into per-peer scratch frames, so the
+// steady-state decode path never touches the heap. Only
 // the decoded kind's fields are written; fields of other kinds keep
 // their previous contents. On error f is left partially written.
 func DecodeFrameInto(f *Frame, p []byte) error {
@@ -215,30 +196,23 @@ func DecodeFrameInto(f *Frame, p []byte) error {
 		f.Hello.Nodes = binary.BigEndian.Uint32(body[4:])
 		f.Hello.SpecHash = binary.BigEndian.Uint64(body[8:])
 	case KindRound:
-		const fixed = 8 + 4 + 2 + 8 + 4 + 4 + 4
-		if len(body) < fixed {
-			return fmt.Errorf("netrun: round body %d bytes shorter than the %d-byte fixed part", len(body), fixed)
+		if len(body) < roundFixed {
+			return fmt.Errorf("netrun: round body %d bytes shorter than the %d-byte fixed part", len(body), roundFixed)
 		}
 		r := &f.Round
 		r.Round = binary.BigEndian.Uint64(body)
 		r.Node = binary.BigEndian.Uint32(body[8:])
-		r.Words = binary.BigEndian.Uint16(body[12:])
-		r.PrevFP = binary.BigEndian.Uint64(body[14:])
-		r.Enabled = binary.BigEndian.Uint32(body[22:])
-		r.Active = binary.BigEndian.Uint32(body[26:])
-		count := binary.BigEndian.Uint32(body[30:])
-		if r.Words == 0 || r.Words > maxWords {
-			return fmt.Errorf("netrun: frame words %d outside [1, %d]", r.Words, maxWords)
-		}
-		// Exact-length check before any allocation: count and words are
+		r.PrevFP = binary.BigEndian.Uint64(body[12:])
+		r.Active = binary.BigEndian.Uint32(body[20:])
+		count := binary.BigEndian.Uint32(body[24:])
+		// Exact-length check before any allocation: count is
 		// attacker-controlled, the length prefix is the truth.
-		want := fixed + int64(count)*4 + int64(count)*int64(r.Words)*8
+		want := roundFixed + int64(count)*4
 		if want > MaxFrame {
 			return fmt.Errorf("netrun: round frame claims %d bytes, above MaxFrame %d", want, MaxFrame)
 		}
 		if int64(len(body)) != want {
-			return fmt.Errorf("netrun: round body %d bytes, %d selections × %d words needs %d",
-				len(body), count, r.Words, want)
+			return fmt.Errorf("netrun: round body %d bytes, %d selections need %d", len(body), count, want)
 		}
 		// Capacity reuse: reslice scratch when it fits, allocate when it
 		// does not (or on the first decode — a fresh make keeps the
@@ -249,25 +223,13 @@ func DecodeFrameInto(f *Frame, p []byte) error {
 		} else {
 			r.Sel = r.Sel[:count]
 		}
-		off := fixed
 		prev := int64(-1)
 		for i := range r.Sel {
-			r.Sel[i] = binary.BigEndian.Uint32(body[off:])
+			r.Sel[i] = binary.BigEndian.Uint32(body[roundFixed+4*i:])
 			if int64(r.Sel[i]) <= prev {
 				return fmt.Errorf("netrun: selection list not strictly ascending at index %d", i)
 			}
 			prev = int64(r.Sel[i])
-			off += 4
-		}
-		n := int(count) * int(r.Words)
-		if r.Data == nil || cap(r.Data) < n {
-			r.Data = make([]int64, n)
-		} else {
-			r.Data = r.Data[:n]
-		}
-		for i := range r.Data {
-			r.Data[i] = int64(binary.BigEndian.Uint64(body[off:]))
-			off += 8
 		}
 	case KindBye:
 		if len(body) != 12 {

@@ -18,30 +18,30 @@ var goldenFrames = []struct {
 	{
 		name: "hello",
 		f:    Frame{Kind: KindHello, Hello: Hello{Node: 1, Nodes: 3, SpecHash: 0x0123456789abcdef}},
-		hex:  "53504e5200010100000001000000030123456789abcdef",
+		hex:  "53504e5200020100000001000000030123456789abcdef",
 	},
 	{
 		name: "round",
 		f: Frame{Kind: KindRound, Round: RoundFrame{
-			Round: 7, Node: 2, Words: 1, PrevFP: 0xdeadbeefcafef00d,
-			Enabled: 3, Active: 1, Sel: []uint32{4, 9}, Data: []int64{5, -1},
+			Round: 7, Node: 2, PrevFP: 0xdeadbeefcafef00d,
+			Active: 1, Sel: []uint32{4, 9},
 		}},
-		hex: "53504e520001020000000000000007000000020001deadbeefcafef00d" +
-			"00000003000000010000000200000004000000090000000000000005ffffffffffffffff",
+		hex: "53504e52000202" + "0000000000000007" + "00000002" + "deadbeefcafef00d" +
+			"00000001" + "00000002" + "00000004" + "00000009",
 	},
 	{
 		name: "round-empty",
 		f: Frame{Kind: KindRound, Round: RoundFrame{
-			Round: 1, Node: 0, Words: 2, PrevFP: 0x1122334455667788,
-			Enabled: 0, Active: 0, Sel: []uint32{}, Data: []int64{},
+			Round: 1, Node: 0, PrevFP: 0x1122334455667788,
+			Active: 0, Sel: []uint32{},
 		}},
-		hex: "53504e5200010200000000000000010000000000021122334455667788" +
-			"000000000000000000000000",
+		hex: "53504e52000202" + "0000000000000001" + "00000000" + "1122334455667788" +
+			"00000000" + "00000000",
 	},
 	{
 		name: "bye",
 		f:    Frame{Kind: KindBye, Bye: Bye{Node: 0, Round: 42}},
-		hex:  "53504e52000103" + "00000000" + "000000000000002a",
+		hex:  "53504e52000203" + "00000000" + "000000000000002a",
 	},
 }
 
@@ -68,9 +68,9 @@ func TestFrameGoldenVectors(t *testing.T) {
 		}
 		if g.f.Kind == KindRound {
 			got, want := dec.Round, g.f.Round
-			if got.Round != want.Round || got.Node != want.Node || got.Words != want.Words ||
-				got.PrevFP != want.PrevFP || got.Enabled != want.Enabled || got.Active != want.Active ||
-				!reflect.DeepEqual(got.Sel, want.Sel) || !reflect.DeepEqual(got.Data, want.Data) {
+			if got.Round != want.Round || got.Node != want.Node ||
+				got.PrevFP != want.PrevFP || got.Active != want.Active ||
+				!reflect.DeepEqual(got.Sel, want.Sel) {
 				t.Errorf("%s: decoded round %+v, want %+v", g.name, got, want)
 			}
 		}
@@ -84,11 +84,10 @@ func TestFrameRoundTrip(t *testing.T) {
 	t.Parallel()
 	frames := []Frame{
 		{Kind: KindHello, Hello: Hello{Node: 0, Nodes: 2, SpecHash: 0}},
-		{Kind: KindRound, Round: RoundFrame{Round: 1, Node: 0, Words: 1, Sel: []uint32{}, Data: []int64{}}},
+		{Kind: KindRound, Round: RoundFrame{Round: 1, Node: 0, Sel: []uint32{}}},
 		{Kind: KindRound, Round: RoundFrame{
-			Round: 1 << 40, Node: 11, Words: 3, PrevFP: ^uint64(0), Enabled: 9, Active: 4,
-			Sel:  []uint32{0, 1, 2, 1000},
-			Data: []int64{1, -2, 3, 4, -5, 6, 7, -8, 9, 10, -11, 12},
+			Round: 1 << 40, Node: 11, PrevFP: ^uint64(0), Active: 4,
+			Sel: []uint32{0, 1, 2, 1000},
 		}},
 		{Kind: KindBye, Bye: Bye{Node: 7, Round: 9999}},
 	}
@@ -134,22 +133,22 @@ func TestDecodeFrameRejects(t *testing.T) {
 		{"bad-magic", flip(0, 0xff), "bad frame magic"},
 		{"bad-version", flip(5, 9), "version"},
 		{"unknown-kind", flip(6, 9), "unknown frame kind"},
-		{"hello-short", append([]byte{0x53, 0x50, 0x4e, 0x52, 0, 1, 1}, 1, 2, 3), "hello body"},
+		{"version-1", flip(5, 1), "version 1"},
+		{"hello-short", append([]byte{0x53, 0x50, 0x4e, 0x52, 0, 2, 1}, 1, 2, 3), "hello body"},
+		{"round-short", round[:headerLen+roundFixed-1], "fixed part"},
 		{"round-truncated", round[:len(round)-1], "round body"},
 		{"round-trailing", append(append([]byte(nil), round...), 0), "round body"},
-		{"round-zero-words", flip(headerLen+13, 0), "words 0"},
-		{"bye-short", []byte{0x53, 0x50, 0x4e, 0x52, 0, 1, 3, 0}, "bye body"},
+		{"bye-short", []byte{0x53, 0x50, 0x4e, 0x52, 0, 2, 3, 0}, "bye body"},
 		{"round-oversize", func() []byte {
-			// Claim 2^24 selections of 64 words: no length prefix could
-			// carry that, so the size bound must fire before allocation.
-			p := append([]byte(nil), round[:headerLen+34]...)
-			p[headerLen+12], p[headerLen+13] = 0, 64
-			copy(p[headerLen+30:], []byte{0x01, 0x00, 0x00, 0x00})
+			// Claim 2^24 selections: no length prefix could carry that,
+			// so the size bound must fire before allocation.
+			p := append([]byte(nil), round[:headerLen+roundFixed+4]...)
+			copy(p[headerLen+roundFixed-4:], []byte{0x01, 0x00, 0x00, 0x00})
 			return p
 		}(), "MaxFrame"},
 		{"round-descending", func() []byte {
 			p := append([]byte(nil), round...)
-			copy(p[headerLen+34:headerLen+42], []byte{0, 0, 0, 9, 0, 0, 0, 4})
+			copy(p[headerLen+roundFixed:headerLen+roundFixed+8], []byte{0, 0, 0, 9, 0, 0, 0, 4})
 			return p
 		}(), "ascending"},
 	}
@@ -174,9 +173,7 @@ func TestAppendFrameRejects(t *testing.T) {
 		f    Frame
 		want string
 	}{
-		{"zero-words", Frame{Kind: KindRound, Round: RoundFrame{Words: 0}}, "words 0"},
-		{"data-mismatch", Frame{Kind: KindRound, Round: RoundFrame{Words: 2, Sel: []uint32{1}, Data: []int64{1}}}, "selections"},
-		{"descending", Frame{Kind: KindRound, Round: RoundFrame{Words: 1, Sel: []uint32{5, 5}, Data: []int64{1, 2}}}, "ascending"},
+		{"descending", Frame{Kind: KindRound, Round: RoundFrame{Sel: []uint32{5, 5}}}, "ascending"},
 		{"unknown-kind", Frame{Kind: 77}, "kind"},
 	}
 	for _, tc := range cases {

@@ -52,7 +52,7 @@ func (hs *httpServer) handleAcquire(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	rep, wt := hs.nd.gate.acquire(req)
+	rep, wt := hs.nd.core.gate.acquire(req)
 	if wt == nil {
 		writeJSON(w, rep)
 		return
@@ -61,7 +61,7 @@ func (hs *httpServer) handleAcquire(w http.ResponseWriter, r *http.Request) {
 	case rep = <-wt.ch:
 		writeJSON(w, rep)
 	case <-r.Context().Done():
-		hs.nd.gate.cancel(wt)
+		hs.nd.core.gate.cancel(wt)
 	}
 }
 
@@ -71,7 +71,7 @@ func (hs *httpServer) handleRelease(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, hs.nd.gate.release(req))
+	writeJSON(w, hs.nd.core.gate.release(req))
 }
 
 func (hs *httpServer) handleStatus(w http.ResponseWriter, _ *http.Request) {

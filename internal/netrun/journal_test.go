@@ -171,15 +171,15 @@ func TestReadJournalTornTail(t *testing.T) {
 }
 
 // TestDecodeFrameIntoReuse checks the decode scratch contract: a second
-// decode into the same frame reuses Sel/Data backing when it fits.
+// decode into the same frame reuses Sel backing when it fits.
 func TestDecodeFrameIntoReuse(t *testing.T) {
 	big := &Frame{Kind: KindRound, Round: RoundFrame{
-		Round: 1, Node: 2, Words: 1, PrevFP: 9,
-		Sel: []uint32{1, 4, 6}, Data: []int64{-1, -4, -6},
+		Round: 1, Node: 2, PrevFP: 9,
+		Sel: []uint32{1, 4, 6},
 	}}
 	small := &Frame{Kind: KindRound, Round: RoundFrame{
-		Round: 2, Node: 2, Words: 1, PrevFP: 10,
-		Sel: []uint32{5}, Data: []int64{55},
+		Round: 2, Node: 2, PrevFP: 10,
+		Sel: []uint32{5},
 	}}
 	pb, err := AppendFrame(nil, big)
 	if err != nil {
@@ -197,7 +197,7 @@ func TestDecodeFrameIntoReuse(t *testing.T) {
 	if err := DecodeFrameInto(&f, ps); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Round.Sel) != 1 || f.Round.Sel[0] != 5 || f.Round.Data[0] != 55 {
+	if len(f.Round.Sel) != 1 || f.Round.Sel[0] != 5 || f.Round.PrevFP != 10 {
 		t.Fatalf("reused decode corrupted: %+v", f.Round)
 	}
 	if &f.Round.Sel[0] != firstSel {

@@ -1,23 +1,23 @@
 // Package netrun is the networked runtime (DESIGN.md §13): it partitions
 // the vertices of one scenario's ring across OS processes that exchange
-// packed flat-state shard frames over TCP, turning the in-process
-// simulation into a deployable lock service (cmd/lockd) without forking
-// the execution semantics.
+// round frames over TCP, turning the in-process simulation into a
+// deployable lock service (cmd/lockd) without forking the execution
+// semantics.
 //
-// The design is replicated-state with distributed scheduling. Every node
-// holds the full packed configuration (the flat backend's vertex-major
-// []int64 array) but evaluates guards and applies moves only for its own
-// contiguous shard, using the lock protocol's sim.Flat kernels directly.
-// A round is a BSP superstep: evaluate the shard, select activations
-// under the node's daemon policy, apply them into a private buffer, send
-// one round-numbered frame to every peer, then block until one frame of
-// the same round arrives from each peer. Only then does any node commit:
-// all shards' moved words land in the replica, the union of selections
-// becomes the round's effective daemon choice, and the configuration
-// fingerprint is recomputed. A slow or dead peer therefore stalls the
-// round — it can never corrupt it — and the frames' carried fingerprints
-// make replica divergence a detected protocol error instead of silent
-// drift.
+// Every node steps the shared engine on the union selection. Each node
+// owns a sim.Engine over the whole ring (core.go) but schedules only its
+// own contiguous shard. A round is a BSP superstep: select activations
+// among the shard's enabled vertices under the node's daemon policy,
+// send one round-numbered frame carrying that selection to every peer,
+// then block until one frame of the same round arrives from each peer.
+// Only then does any node commit: the union of the selections is the
+// round's daemon choice, and every node runs Engine.Step on it — the
+// step every in-process driver runs — computing every activated
+// vertex's move itself. The engine refuses a selected vertex whose guard
+// is disabled, so a peer cannot make a node adopt a move; a slow or dead
+// peer stalls the round but never corrupts it, and the frames' pre-round
+// fingerprints make replica divergence a detected protocol error
+// instead of silent drift.
 //
 // The deterministic simulation stays authoritative as a differential
 // oracle: each node journals the effective schedule (the vertices

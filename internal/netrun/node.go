@@ -1,23 +1,19 @@
 package netrun
 
-// Node is one process of the ring. It owns a full packed replica of the
-// configuration, the flat kernels of the lock protocol, a contiguous
-// vertex shard, the peer connections, the grant gate and the journal.
-// Run drives the BSP round loop documented on the package; everything
-// here is wall-clock-free — the transport (transport.go) and the client
-// server (httpd.go) own the clocks.
+// Node is one process of the ring: a round core (core.go) — the engine
+// over the whole ring, the grant gate and the journal — plus the peer
+// connections and the client server. Run drives the BSP round loop
+// documented on the package; everything here is wall-clock-free — the
+// transport (transport.go), the pumps (pump.go) and the client server
+// (httpd.go) own the clocks.
 
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sync/atomic"
 	"time"
 
-	"specstab/internal/scenario"
-	"specstab/internal/service"
-	"specstab/internal/sim"
 	"specstab/internal/telemetry"
 )
 
@@ -46,10 +42,6 @@ type Config struct {
 	Hub *telemetry.Hub
 	// IOTimeout overrides the per-frame read/write deadline (0 = 2s).
 	IOTimeout time.Duration
-	// DialRetries and DialBackoff bound connection establishment
-	// (0 = 40 tries, 25ms linear backoff).
-	DialRetries int
-	DialBackoff time.Duration
 	// RecvRetries is how many consecutive receive timeouts the barrier
 	// tolerates per peer per round before abandoning the run (0 = 5).
 	// Until then a slow peer holds the round — it is never committed
@@ -63,35 +55,13 @@ type Config struct {
 // Node is one running member of the ring. Construct with NewNode, then
 // Start (bind), Connect (mesh + handshake), Run (round loop).
 type Node struct {
-	cfg        Config
-	spec       Spec
-	id, nodes  int
-	n, lo, hi  int
-	words      int
-	policyDist bool
-	p          float64
+	cfg       Config
+	spec      Spec
+	id, nodes int
 
-	lock   service.Lock
-	flat   sim.Flat[int]
-	st     []int64         // full packed replica, vertex-major
-	shadow sim.Config[int] // decoded mirror, round loop only
-	fp     uint64          // fingerprint after the last committed round
-	rng    *rand.Rand      // node-local selection coin (distributed policy)
-
-	// Reused per-round buffers (round loop only). frameScratch is the
-	// node's own contribution; framesBuf/unionBuf/activeBuf are the
-	// commit's working set, hoisted here so the steady-state round loop
-	// never allocates.
-	shardVs      []int
-	rules        []sim.Rule
-	selBuf       []int
-	ruleBuf      []sim.Rule
-	sel32        []uint32
-	outBuf       []int64
-	frameScratch Frame
-	framesBuf    []*RoundFrame
-	unionBuf     []int
-	activeBuf    []uint32
+	core *roundCore // round loop only, apart from its gate and journal
+	// framesBuf is the commit's frame slice, indexed by node id.
+	framesBuf []*RoundFrame
 
 	ln        net.Listener
 	peerAddrs []string
@@ -101,9 +71,7 @@ type Node struct {
 	// all Reset/Stop calls — this file stays wall-clock-free).
 	barrierTimer *time.Timer
 
-	gate *gate
-	hs   *httpServer
-	jw   *journalWriter
+	hs *httpServer
 
 	// Published state, readable from handler goroutines.
 	round    atomic.Int64
@@ -118,83 +86,28 @@ type Node struct {
 	bytesIn   atomic.Int64
 }
 
-// NewNode validates cfg, builds the lock and its flat kernels, and packs
-// the initial replica. No sockets yet — Start binds them.
+// NewNode validates cfg and builds the node's round core. No sockets
+// yet — Start binds them.
 func NewNode(cfg Config) (*Node, error) {
 	spec, err := cfg.Spec.normalized()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.ID < 0 || cfg.ID >= spec.Nodes {
-		return nil, fmt.Errorf("netrun: node id %d outside [0, %d)", cfg.ID, spec.Nodes)
-	}
-	_, lock, initial, err := scenario.BuildLock(spec.Scenario)
+	core, err := newRoundCore(spec, cfg.ID, cfg.Journal)
 	if err != nil {
 		return nil, err
-	}
-	n := len(initial)
-	if spec.Nodes > n {
-		return nil, fmt.Errorf("netrun: %d nodes over %d vertices leaves empty shards", spec.Nodes, n)
-	}
-	flat := sim.FlatOf[int](lock)
-	if flat == nil {
-		return nil, fmt.Errorf("netrun: protocol %q has no flat codec — the wire format is its packed words", spec.Scenario.Protocol.Name)
 	}
 	nd := &Node{
-		cfg:   cfg,
-		spec:  spec,
-		id:    cfg.ID,
-		nodes: spec.Nodes,
-		n:     n,
-		lock:  lock,
-		flat:  flat,
-		words: flat.FlatWords(),
-		rng:   rand.New(sim.NewLazySource(spec.Scenario.Seed + 1000003*int64(cfg.ID+1))),
+		cfg:       cfg,
+		spec:      spec,
+		id:        cfg.ID,
+		nodes:     spec.Nodes,
+		core:      core,
+		framesBuf: make([]*RoundFrame, spec.Nodes),
+		peers:     make([]*Conn, spec.Nodes),
+		peerAddrs: append([]string(nil), cfg.PeerAddrs...),
 	}
-	nd.lo, nd.hi = shardRange(n, spec.Nodes, cfg.ID)
-	switch spec.Scenario.Daemon.Name {
-	case "distributed", "ud":
-		nd.policyDist = true
-		nd.p = spec.Scenario.Daemon.P
-		if nd.p <= 0 || nd.p > 1 {
-			nd.p = 0.5
-		}
-	}
-	nd.st = make([]int64, n*nd.words)
-	for v := 0; v < n; v++ {
-		flat.EncodeState(v, initial[v], nd.st[v*nd.words:(v+1)*nd.words])
-	}
-	nd.shadow = append(sim.Config[int](nil), initial...)
-	nd.fp = sim.FingerprintConfig(nd.shadow)
-	nd.fpPub.Store(nd.fp)
-	shard := nd.hi - nd.lo
-	nd.shardVs = make([]int, shard)
-	for i := range nd.shardVs {
-		nd.shardVs[i] = nd.lo + i
-	}
-	nd.rules = make([]sim.Rule, shard)
-	nd.selBuf = make([]int, 0, shard)
-	nd.ruleBuf = make([]sim.Rule, 0, shard)
-	nd.sel32 = make([]uint32, 0, shard)
-	nd.outBuf = make([]int64, shard*nd.words)
-	nd.framesBuf = make([]*RoundFrame, spec.Nodes)
-	nd.unionBuf = make([]int, 0, n)
-	nd.activeBuf = make([]uint32, 0, spec.Nodes)
-	nd.gate = newGate(nd.id, nd.nodes, n, nd.lo, nd.hi, spec.Capacity, int64(spec.LeaseRounds), lock)
-	nd.peers = make([]*Conn, spec.Nodes)
-	nd.peerAddrs = append([]string(nil), cfg.PeerAddrs...)
-	nd.jw, err = newJournalWriter(Header{
-		Kind:     "header",
-		Scenario: spec.Scenario,
-		Nodes:    spec.Nodes,
-		Node:     cfg.ID,
-		Lease:    spec.LeaseRounds,
-		Capacity: spec.Capacity,
-		InitFP:   fpString(nd.fp),
-	}, cfg.Journal)
-	if err != nil {
-		return nil, err
-	}
+	nd.fpPub.Store(core.fp)
 	return nd, nil
 }
 
@@ -245,16 +158,9 @@ func (nd *Node) Connect() error {
 	if timeout <= 0 {
 		timeout = defaultIOTimeout
 	}
-	retries, backoff := nd.cfg.DialRetries, nd.cfg.DialBackoff
-	if retries <= 0 {
-		retries = defaultDialRetries
-	}
-	if backoff <= 0 {
-		backoff = defaultDialBackoff
-	}
 	// The accept patience matches the worst-case dial budget of the
 	// slowest-starting peer.
-	patience := time.Duration(retries)*(time.Duration(retries+1)/2)*backoff + time.Duration(retries+1)*timeout
+	patience := defaultDialRetries*((defaultDialRetries+1)/2)*defaultDialBackoff + (defaultDialRetries+1)*timeout
 	hello := Hello{Node: uint32(nd.id), Nodes: uint32(nd.nodes), SpecHash: nd.spec.hash()}
 	ours := acquireWire()
 	defer ours.release()
@@ -264,7 +170,7 @@ func (nd *Node) Connect() error {
 		return err
 	}
 	for j := 0; j < nd.id; j++ {
-		c, err := dialPeer(nd.peerAddrs[j], retries, backoff, timeout)
+		c, err := dialPeer(nd.peerAddrs[j], defaultDialRetries, defaultDialBackoff, timeout)
 		if err != nil {
 			nd.closePeers()
 			return err
@@ -361,18 +267,18 @@ func (nd *Node) validateHello(h Hello, want int, specHash uint64) error {
 
 // Run drives the round loop until maxRounds commits (0 = unbounded), a
 // drain completes, a peer says bye, or a fault breaks the barrier. Only
-// a fault returns an error; the node's replica and journal are valid in
+// a fault returns an error; the node's engine and journal are valid in
 // every case. The steady-state iteration is allocation-free: the frame
 // is encoded into a pooled buffer the write pumps release after the
 // wire write, peer frames arrive pre-decoded in recycled scratch from
-// the receive pumps, and the commit's working set lives on the Node.
+// the receive pumps, and the core reuses its own buffers.
 func (nd *Node) Run(maxRounds int64) error {
 	defer nd.closePeers()
-	defer nd.jw.flush()
+	defer nd.core.jw.flush()
 	nd.startPumps()
 	defer nd.stopPumps()
 	for {
-		if nd.draining.Load() && nd.gate.idle() {
+		if nd.draining.Load() && nd.core.gate.idle() {
 			return nd.sayBye()
 		}
 		r := nd.round.Load() + 1
@@ -380,29 +286,13 @@ func (nd *Node) Run(maxRounds int64) error {
 			return nd.sayBye()
 		}
 
-		// Evaluate, select and apply the local shard against the replica.
-		nd.flat.EnabledRuleFlat(nd.st, nd.words, 0, nd.shardVs, nd.rules)
-		sel, rules, enabled := nd.selectLocal()
-		out := nd.outBuf[:len(sel)*nd.words]
-		if len(sel) > 0 {
-			nd.flat.ApplyFlat(nd.st, nd.words, 0, sel, rules, out, nd.words, 0)
-		}
-		nd.sel32 = nd.sel32[:0]
-		for _, v := range sel {
-			nd.sel32 = append(nd.sel32, uint32(v))
-		}
-		nd.frameScratch.Kind = KindRound
-		nd.frameScratch.Round = RoundFrame{
-			Round: uint64(r), Node: uint32(nd.id), Words: uint16(nd.words),
-			PrevFP: nd.fp, Enabled: uint32(enabled), Active: uint32(nd.gate.activeCount()),
-			Sel: nd.sel32, Data: out,
-		}
-		// Encode once into a pooled buffer and fan the same bytes out to
-		// every write pump, one reference each; the pump that writes last
-		// returns the buffer to the pool.
+		// Encode this node's frame once into a pooled buffer and fan the
+		// same bytes out to every write pump, one reference each; the
+		// pump that writes last returns the buffer to the pool.
+		f := nd.core.propose()
 		w := acquireWire()
 		var err error
-		w.b, err = AppendWireFrame(w.b, &nd.frameScratch)
+		w.b, err = AppendWireFrame(w.b, f)
 		if err != nil {
 			w.release()
 			return err
@@ -423,17 +313,17 @@ func (nd *Node) Run(maxRounds int64) error {
 		}
 		w.release()
 
-		// Barrier: one same-round frame from every peer, or no commit.
-		// The pumps decode concurrently; collecting peer j here never
-		// blocks peer k's progress, so the barrier costs the max — not
-		// the sum — of peer latencies.
+		// Barrier: one frame from every peer, or no commit. The pumps
+		// decode concurrently; collecting peer j here never blocks peer
+		// k's progress, so the barrier costs the max — not the sum — of
+		// peer latencies.
 		frames := nd.framesBuf
-		frames[nd.id] = &nd.frameScratch.Round
+		frames[nd.id] = &f.Round
 		for j := range nd.peers {
 			if j == nd.id {
 				continue
 			}
-			f, bye, err := nd.collectRound(j, r)
+			pf, bye, err := nd.collectRound(j, r)
 			if err != nil {
 				nd.stalled.Store(true)
 				return err
@@ -444,52 +334,25 @@ func (nd *Node) Run(maxRounds int64) error {
 				nd.sayBye()
 				return nil
 			}
-			frames[j] = f
+			frames[j] = pf
 		}
 
-		// Commit: apply every shard's moved words, form the effective
-		// schedule, refresh the shadow and fingerprint, journal, grant.
-		union := nd.unionBuf[:0]
-		for j, f := range frames {
-			jlo, jhi := shardRange(nd.n, nd.nodes, j)
-			for i, v32 := range f.Sel {
-				v := int(v32)
-				if v < jlo || v >= jhi {
-					nd.stalled.Store(true)
-					return fmt.Errorf("netrun: peer %d activated vertex %d outside its shard [%d, %d)", j, v, jlo, jhi)
-				}
-				copy(nd.st[v*nd.words:(v+1)*nd.words], f.Data[i*nd.words:(i+1)*nd.words])
-				union = append(union, v)
-			}
+		terminal, err := nd.core.commit(frames)
+		if err != nil {
+			nd.stalled.Store(true)
+			return err
 		}
-		nd.unionBuf = union
-		if len(union) == 0 {
-			// The protocol is terminal (no vertex enabled anywhere) —
-			// unreachable for deadlock-free locks, but never journal a
-			// round the engine could not replay.
+		if terminal {
 			nd.sayBye()
 			return nil
 		}
-		nd.flat.DecodeStates(nd.st, nd.words, 0, union, nd.shadow)
-		nd.fp = sim.FingerprintConfig(nd.shadow)
-		nd.fpPub.Store(nd.fp)
+		nd.fpPub.Store(nd.core.fp)
 		nd.round.Store(r)
-		if err := nd.jw.round(r, union, nd.fp); err != nil {
-			return err
-		}
-		peerActive := nd.activeBuf[:0]
-		for j, f := range frames {
-			if j != nd.id {
-				peerActive = append(peerActive, f.Active)
-			}
-		}
-		nd.activeBuf = peerActive
-		nd.gate.step(r, nd.shadow, peerActive)
 		// Hand the peers' scratch frames back to their pumps; the next
 		// round (possibly already in flight) decodes into them.
-		for j, f := range frames {
+		for j, pf := range frames {
 			if j != nd.id && nd.rxs[j] != nil {
-				nd.rxs[j].recycle(f)
+				nd.rxs[j].recycle(pf)
 			}
 		}
 		if nd.cfg.Hub != nil {
@@ -507,7 +370,7 @@ func (nd *Node) startPumps() {
 		if j == nd.id || c == nil {
 			continue
 		}
-		nd.rxs[j] = startRxPump(j, nd.words, c, &nd.bytesIn)
+		nd.rxs[j] = startRxPump(j, c, &nd.bytesIn)
 	}
 	if nd.barrierTimer == nil {
 		nd.barrierTimer = newStallTimer()
@@ -531,49 +394,11 @@ func (nd *Node) stopPumps() {
 	}
 }
 
-// selectLocal picks this round's activations from the shard's enabled
-// vertices: all of them under the synchronous policy, an independent
-// p-coin each under the distributed policy — with the lowest enabled
-// vertex as fallback, so a node with work always contributes at least
-// one activation and the ring-wide union is nonempty whenever any guard
-// is enabled (a valid unfair-daemon schedule either way).
-func (nd *Node) selectLocal() (sel []int, rules []sim.Rule, enabled int) {
-	sel, rules = nd.selBuf[:0], nd.ruleBuf[:0]
-	firstV, firstRule := -1, sim.NoRule
-	for i, v := range nd.shardVs {
-		rl := nd.rules[i]
-		if rl == sim.NoRule {
-			continue
-		}
-		enabled++
-		if firstV < 0 {
-			firstV, firstRule = v, rl
-		}
-		if !nd.policyDist || nd.rng.Float64() < nd.p {
-			sel = append(sel, v)
-			rules = append(rules, rl)
-		}
-	}
-	if nd.policyDist && len(sel) == 0 && firstV >= 0 {
-		sel = append(sel, firstV)
-		rules = append(rules, firstRule)
-	}
-	nd.selBuf, nd.ruleBuf = sel, rules
-	return sel, rules, enabled
-}
-
-// collectRound takes peer j's round-r frame from its receive pump,
+// collectRound takes peer j's next frame from its receive pump,
 // tolerating RecvRetries mailbox timeouts (each counted as a barrier
-// stall) before giving up — the same patience contract the sequential
-// barrier had, with the read deadline replaced by the shared stall
-// timer. A bye frame reports clean peer shutdown via the second return.
-//
-// The sender-identity and word-count checks moved into the pump (facts
-// about the frame); the round match and the PrevFP divergence check
-// stay here because they are facts about *this node's* progress: a
-// prefetched round-r+1 frame carries the peer's fingerprint after
-// round r, which this node only knows once its own commit of round r
-// has run.
+// stall) before giving up. A bye frame reports clean peer shutdown via
+// the second return. Everything the frame claims — its sender, round,
+// fingerprint and selection — is the core's to check at commit.
 func (nd *Node) collectRound(j int, r int64) (*RoundFrame, bool, error) {
 	retries := nd.cfg.RecvRetries
 	if retries <= 0 {
@@ -599,16 +424,9 @@ func (nd *Node) collectRound(j int, r int64) (*RoundFrame, bool, error) {
 		if m.bye {
 			return nil, true, nil
 		}
-		rf := m.f
-		if rf.Round != uint64(r) {
-			return nil, false, fmt.Errorf("netrun: peer %d sent round %d during round %d — barrier broken", j, rf.Round, r)
-		}
-		if rf.PrevFP != nd.fp {
-			return nil, false, fmt.Errorf("netrun: replica divergence at round %d: peer %d entered with fingerprint %016x, this node %016x", r, j, rf.PrevFP, nd.fp)
-		}
 		nd.stalled.Store(false)
 		nd.framesIn.Add(1)
-		return rf, false, nil
+		return m.f, false, nil
 	}
 }
 
@@ -630,14 +448,14 @@ func (nd *Node) sayBye() error {
 		}
 	}
 	w.release()
-	return nd.jw.flush()
+	return nd.core.jw.flush()
 }
 
 // Drain stops admitting acquires and lets Run exit once outstanding
 // grants are released or reclaimed — the SIGTERM path of cmd/lockd.
 func (nd *Node) Drain() {
 	nd.draining.Store(true)
-	nd.gate.drain()
+	nd.core.gate.drain()
 }
 
 // Round returns the last committed round.
@@ -646,7 +464,7 @@ func (nd *Node) Round() int64 { return nd.round.Load() }
 // Journal materializes the in-memory journal. Read it after Run
 // returns; the round loop appends to the backing arena concurrently
 // while running.
-func (nd *Node) Journal() *Journal { return nd.jw.journal() }
+func (nd *Node) Journal() *Journal { return nd.core.jw.journal() }
 
 // Status snapshots the node for the client API.
 func (nd *Node) Status() StatusReply {
@@ -654,19 +472,19 @@ func (nd *Node) Status() StatusReply {
 		Node:     nd.id,
 		Nodes:    nd.nodes,
 		Protocol: nd.spec.Scenario.Protocol.Name,
-		N:        nd.n,
+		N:        nd.core.n,
 		Round:    nd.round.Load(),
 		FP:       fpString(nd.fpPub.Load()),
 		Stalled:  nd.stalled.Load(),
 	}
-	nd.gate.fill(&rep)
+	nd.core.gate.fill(&rep)
 	return rep
 }
 
 // NetrunStats implements telemetry.NetrunSource.
 func (nd *Node) NetrunStats() telemetry.NetrunStats {
 	var rep StatusReply
-	nd.gate.fill(&rep)
+	nd.core.gate.fill(&rep)
 	return telemetry.NetrunStats{
 		Node:            nd.id,
 		Nodes:           nd.nodes,
@@ -676,7 +494,7 @@ func (nd *Node) NetrunStats() telemetry.NetrunStats {
 		BarrierStalls:   nd.stalls.Load(),
 		BytesOut:        nd.bytesOut.Load(),
 		BytesIn:         nd.bytesIn.Load(),
-		JournalBuffered: nd.jw.buffered.Load(),
+		JournalBuffered: nd.core.jw.buffered.Load(),
 		Grants:          rep.Grants,
 		Released:        rep.Released,
 		LeaseExpired:    rep.LeaseExpired,

@@ -17,12 +17,11 @@ package netrun
 // a pump blocked on a free slot is a peer running impossibly far ahead,
 // which the barrier will call out as a broken round anyway.
 //
-// Validation splits by what it depends on: sender id, word count and
-// frame kind are checked in the pump (they are facts about the frame),
-// while the round match and the PrevFP divergence check stay at the
-// barrier — a prefetched round-r+1 frame carries the fingerprint of a
-// round this node has not committed yet, so judging its PrevFP in the
-// pump would race the commit. See DESIGN.md §13.
+// The pump checks only the codec and the frame kind. What a round frame
+// claims — sender, round, fingerprint, selection — is checked by the
+// round core at commit (core.go): a prefetched round-r+1 frame carries
+// the fingerprint of a round this node has not committed yet, so
+// judging it in the pump would race the commit. See DESIGN.md §13.
 //
 // This file and transport.go are the only netrun files allowed raw
 // goroutines and wall-clock calls (internal/lint policy): the pump
@@ -55,9 +54,8 @@ type rxMsg struct {
 
 // rxPump owns the receive side of one peer connection.
 type rxPump struct {
-	peer  int
-	words int
-	c     *Conn
+	peer int
+	c    *Conn
 	// ready is sized so the pump can park mailboxDepth frames plus one
 	// terminal notice without ever blocking on a vanished barrier.
 	ready chan rxMsg
@@ -71,10 +69,9 @@ type rxPump struct {
 }
 
 // startRxPump launches the receive pump for peer j's connection.
-func startRxPump(peer, words int, c *Conn, bytesIn *atomic.Int64) *rxPump {
+func startRxPump(peer int, c *Conn, bytesIn *atomic.Int64) *rxPump {
 	p := &rxPump{
 		peer:    peer,
-		words:   words,
 		c:       c,
 		ready:   make(chan rxMsg, mailboxDepth+1),
 		free:    make(chan *RoundFrame, mailboxDepth),
@@ -121,14 +118,6 @@ func (p *rxPump) loop() {
 			return
 		case KindRound:
 			*slot = scratch.Round
-			if int(slot.Node) != p.peer {
-				p.deliver(rxMsg{err: fmt.Errorf("netrun: frame from peer %d claims node %d", p.peer, slot.Node)})
-				return
-			}
-			if int(slot.Words) != p.words {
-				p.deliver(rxMsg{err: fmt.Errorf("netrun: peer %d packs %d words per vertex, this node %d", p.peer, slot.Words, p.words)})
-				return
-			}
 			if !p.deliver(rxMsg{f: slot}) {
 				return
 			}

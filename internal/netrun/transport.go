@@ -21,9 +21,10 @@ import (
 	"time"
 )
 
-// Transport defaults, overridable per node (Config). The IO timeout is
-// the barrier's patience quantum: a wait that exceeds it counts one
-// stall, and RecvRetries stalls abandon the round.
+// Transport defaults; only the IO timeout is overridable per node
+// (Config.IOTimeout). The IO timeout is the barrier's patience quantum: a
+// wait that exceeds it counts one stall, and RecvRetries stalls abandon
+// the round.
 const (
 	defaultIOTimeout   = 2 * time.Second
 	defaultDialRetries = 40
@@ -322,13 +323,6 @@ func (c *Conn) recvWithin(d time.Duration) ([]byte, error) {
 	return payload, nil
 }
 
-// isTimeout reports whether err is a read deadline expiring — the one
-// error class the barrier treats as "slow", not "gone".
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
 // Close shuts the connection down. Safe to call more than once; the
 // round loop is the only Sender, so closing the queue here cannot race a
 // concurrent Send after closed is set.
@@ -353,12 +347,6 @@ func (c *Conn) Close() error {
 // peer process that is still binding its listener, bounded enough that a
 // never-starting peer fails the run instead of hanging it.
 func dialPeer(addr string, retries int, backoff, timeout time.Duration) (*Conn, error) {
-	if retries <= 0 {
-		retries = defaultDialRetries
-	}
-	if backoff <= 0 {
-		backoff = defaultDialBackoff
-	}
 	var lastErr error
 	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
