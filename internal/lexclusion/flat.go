@@ -22,3 +22,9 @@ var _ sim.Flat[int] = (*Protocol)(nil)
 func (p *Protocol) MaxRule() sim.Rule { return p.uni.MaxRule() }
 
 var _ sim.RuleBounded = (*Protocol)(nil)
+
+// UniformRule implements sim.Uniform: ℓ-exclusion runs unison's rules,
+// so unison's NA fixpoint carries over.
+func (p *Protocol) UniformRule() sim.Rule { return p.uni.UniformRule() }
+
+var _ sim.Uniform = (*Protocol)(nil)

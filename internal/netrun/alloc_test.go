@@ -12,6 +12,7 @@ import (
 	"net"
 	"runtime"
 	"testing"
+	"time"
 
 	"specstab/internal/scenario"
 )
@@ -54,7 +55,12 @@ func TestRoundLoopAllocs(t *testing.T) {
 // commit rounds with (amortized) well under one heap allocation per
 // round cluster-wide. The residue that is allowed covers arena/append
 // doublings and pool refills after a GC — a per-round allocation on the
-// critical path would show up as ≥ windowRounds here.
+// critical path would show up as ≥ windowRounds here. Mallocs are counted
+// with runtime.ReadMemStats around the measured windows, the count
+// testing.AllocsPerRun takes, but at the caller's GOMAXPROCS (AllocsPerRun
+// pins it to 1). The wait parks in short sleeps rather than spinning on
+// runtime.Gosched: a spinning goroutine on a single P left the ring's
+// sockets to the runtime's background poller, about 10 ms a round.
 func TestClusterRoundLoopAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("race instrumentation allocates; measured without -race")
@@ -78,16 +84,22 @@ func TestClusterRoundLoopAllocs(t *testing.T) {
 	defer c.Close()
 	waitPast := func(target int64) {
 		for c.Node(0).Round() < target {
-			runtime.Gosched()
+			time.Sleep(100 * time.Microsecond)
 		}
 	}
-	const windowRounds = 100
+	const windowRounds, windows = 100, 5
 	waitPast(200) // ramp-up: pools, bufio, scratch capacities
-	next := c.Node(0).Round()
-	allocs := testing.AllocsPerRun(5, func() {
+	// One warm-up window, as AllocsPerRun makes, then the measured ones.
+	next := c.Node(0).Round() + windowRounds
+	waitPast(next)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < windows; i++ {
 		next += windowRounds
 		waitPast(next)
-	})
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64((after.Mallocs - before.Mallocs) / windows)
 	c.DrainAll()
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)

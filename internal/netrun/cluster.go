@@ -25,7 +25,7 @@ type ClusterConfig struct {
 	// HTTP serves the client API on every node (loopback, dynamic ports).
 	HTTP bool
 	// Journals, when non-nil, holds one streaming sink per node (nil
-	// entries allowed).
+	// entries allowed). A node with a sink keeps no journal in memory.
 	Journals []io.Writer
 	// Hub, when non-nil, receives every node's telemetry.
 	Hub *telemetry.Hub

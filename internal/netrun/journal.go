@@ -96,8 +96,10 @@ type journalRec struct {
 	fp     uint64
 }
 
-// journalWriter accumulates rounds in arena form (materialized on
-// demand by journal()) and streams buffered JSONL to an optional sink.
+// journalWriter streams buffered JSONL to its sink or, without one,
+// accumulates rounds in arena form (materialized on demand by journal()).
+// A streaming writer keeps no round in memory: the sink is the journal,
+// and a node that runs for hours must not grow with it.
 type journalWriter struct {
 	hdr      Header
 	recs     []journalRec
@@ -128,12 +130,13 @@ func newJournalWriter(h Header, sink io.Writer) (*journalWriter, error) {
 	return jw, nil
 }
 
-// round records one committed round. sel is copied into the arena; the
-// caller keeps ownership and may reuse it next round.
+// round records one committed round: in the sink's buffer, or without a
+// sink in the arena. sel is copied; the caller keeps ownership and may
+// reuse it next round.
 func (jw *journalWriter) round(r int64, sel []int, fp uint64) error {
-	jw.recs = append(jw.recs, journalRec{round: r, off: len(jw.selArena), n: len(sel), fp: fp})
-	jw.selArena = append(jw.selArena, sel...)
 	if jw.sink == nil {
+		jw.recs = append(jw.recs, journalRec{round: r, off: len(jw.selArena), n: len(sel), fp: fp})
+		jw.selArena = append(jw.selArena, sel...)
 		return nil
 	}
 	jw.buf = appendEntryJSON(jw.buf, r, sel, fp)
@@ -161,8 +164,13 @@ func (jw *journalWriter) flush() error {
 }
 
 // journal materializes the in-memory Journal from the arena. Entries
-// alias the arena's schedule slab; treat the result as read-only.
+// alias the arena's schedule slab; treat the result as read-only. A
+// streaming writer holds no rounds and returns nil: read its sink back
+// with ReadJournal instead.
 func (jw *journalWriter) journal() *Journal {
+	if jw.sink != nil {
+		return nil
+	}
 	j := &Journal{Header: jw.hdr, Entries: make([]Entry, len(jw.recs))}
 	for i, rec := range jw.recs {
 		j.Entries[i] = Entry{

@@ -65,13 +65,19 @@ func TestJournalFlushPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var fed []Entry
+	round := func(r int64, sel []int, fp uint64) {
+		t.Helper()
+		fed = append(fed, Entry{Kind: "round", Round: r, Sel: append([]int(nil), sel...), FP: fpString(fp)})
+		if err := jw.round(r, sel, fp); err != nil {
+			t.Fatal(err)
+		}
+	}
 	headerLen := sink.Len()
 	if headerLen == 0 {
 		t.Fatal("header not written immediately")
 	}
-	if err := jw.round(1, []int{0, 5}, 0x1111); err != nil {
-		t.Fatal(err)
-	}
+	round(1, []int{0, 5}, 0x1111)
 	if sink.Len() != headerLen {
 		t.Fatalf("round 1 reached the sink before any flush boundary (%d > %d bytes)", sink.Len(), headerLen)
 	}
@@ -80,9 +86,7 @@ func TestJournalFlushPolicy(t *testing.T) {
 	}
 	// The round-count trigger.
 	for r := int64(2); r <= journalFlushRounds; r++ {
-		if err := jw.round(r, []int{int(r % 12)}, uint64(r)); err != nil {
-			t.Fatal(err)
-		}
+		round(r, []int{int(r % 12)}, uint64(r))
 	}
 	if sink.Len() == headerLen {
 		t.Fatalf("%d rounds did not trigger a flush", journalFlushRounds)
@@ -91,9 +95,7 @@ func TestJournalFlushPolicy(t *testing.T) {
 		t.Fatal("buffered gauge nonzero right after a flush")
 	}
 	// The explicit flush (the drain/bye/fault path).
-	if err := jw.round(journalFlushRounds+1, []int{1}, 0x2222); err != nil {
-		t.Fatal(err)
-	}
+	round(journalFlushRounds+1, []int{1}, 0x2222)
 	if err := jw.flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +103,41 @@ func TestJournalFlushPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(j.Entries) != journalFlushRounds+1 {
-		t.Fatalf("read back %d entries, want %d", len(j.Entries), journalFlushRounds+1)
+	if !equalJournal(j, &Journal{Entries: fed}) {
+		t.Fatal("the sink's journal differs from the rounds fed to the writer")
 	}
-	if !equalJournal(j, jw.journal()) {
-		t.Fatal("sink journal and arena journal disagree")
+}
+
+// TestStreamingJournalHoldsNoRounds: a writer with a sink streams every
+// round and keeps none in memory, however long the node runs, so its
+// arena stays empty and it materializes no journal.
+func TestStreamingJournalHoldsNoRounds(t *testing.T) {
+	var sink bytes.Buffer
+	jw, err := newJournalWriter(testHeader(), &sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 3*journalFlushRounds + 7
+	for r := int64(1); r <= rounds; r++ {
+		if err := jw.round(r, []int{int(r % 12), 11}, uint64(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jw.flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(jw.recs) != 0 || len(jw.selArena) != 0 {
+		t.Fatalf("streaming writer holds %d rounds and %d arena words", len(jw.recs), len(jw.selArena))
+	}
+	if jw.journal() != nil {
+		t.Fatal("streaming writer materialized an in-memory journal")
+	}
+	j, err := ReadJournal(bytes.NewReader(sink.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(j.Entries) != rounds {
+		t.Fatalf("sink holds %d rounds, want %d", len(j.Entries), rounds)
 	}
 }
 

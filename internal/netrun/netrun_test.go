@@ -75,9 +75,10 @@ func TestResolveLock(t *testing.T) {
 }
 
 // TestClusterReplicates runs a three-node ring for a fixed budget and
-// checks the replication invariants: all journals identical, every
-// committed round fingerprint-chained, and the whole execution accepted
-// by the in-process engine via Replay.
+// checks the replication invariants on the journals the nodes streamed:
+// all three identical, every committed round fingerprint-chained, and
+// the whole execution accepted by the in-process engine via Replay. A
+// streaming node keeps no journal in memory.
 func TestClusterReplicates(t *testing.T) {
 	t.Parallel()
 	var bufs [3]bytes.Buffer
@@ -93,34 +94,35 @@ func TestClusterReplicates(t *testing.T) {
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	j0 := c.Node(0).Journal()
-	if len(j0.Entries) != 200 {
-		t.Fatalf("node 0 committed %d rounds, want 200", len(j0.Entries))
-	}
-	for i := 1; i < c.Nodes(); i++ {
-		ji := c.Node(i).Journal()
-		if !reflect.DeepEqual(j0.Entries, ji.Entries) {
-			t.Fatalf("node %d journal diverges from node 0", i)
+	var js [3]*Journal
+	for i := range js {
+		if j := c.Node(i).Journal(); j != nil {
+			t.Fatalf("node %d streams its journal but kept %d rounds in memory", i, len(j.Entries))
+		}
+		if js[i], err = ReadJournal(bytes.NewReader(bufs[i].Bytes())); err != nil {
+			t.Fatalf("node %d: %v", i, err)
 		}
 	}
-	// The streamed JSONL parses back to the in-memory journal.
-	fromDisk, err := ReadJournal(bytes.NewReader(bufs[0].Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	if len(js[0].Entries) != 200 {
+		t.Fatalf("node 0 committed %d rounds, want 200", len(js[0].Entries))
 	}
-	if !reflect.DeepEqual(fromDisk.Entries, j0.Entries) {
-		t.Fatal("streamed journal diverges from the in-memory one")
-	}
-	if fromDisk.Header.InitFP != j0.Header.InitFP {
-		t.Fatal("streamed header diverges")
+	for i := 1; i < len(js); i++ {
+		if !reflect.DeepEqual(js[0].Entries, js[i].Entries) {
+			t.Fatalf("node %d journal diverges from node 0", i)
+		}
+		if js[i].Header.InitFP != js[0].Header.InitFP {
+			t.Fatalf("node %d header diverges from node 0", i)
+		}
 	}
 	// The oracle: the wire execution replays bitwise in the engine.
-	res, err := Replay(fromDisk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds != 200 || res.Protocol != "dijkstra" {
-		t.Errorf("replay summary %+v", res)
+	for i, j := range js {
+		res, err := Replay(j)
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+		if res.Rounds != 200 || res.Protocol != "dijkstra" {
+			t.Errorf("node %d: replay summary %+v", i, res)
+		}
 	}
 }
 

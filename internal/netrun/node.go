@@ -34,8 +34,9 @@ type Config struct {
 	// ListenClient is the client HTTP address; empty disables the client
 	// API (a pure replication node).
 	ListenClient string
-	// Journal, when non-nil, receives the JSONL journal as it is written
-	// (the in-memory copy is always kept).
+	// Journal, when non-nil, receives the JSONL journal as it is written,
+	// and no copy is kept in memory (Node.Journal returns nil). Without
+	// it the node keeps the journal in memory only.
 	Journal io.Writer
 	// Hub, when non-nil, receives one telemetry sample per committed
 	// round.
@@ -461,9 +462,11 @@ func (nd *Node) Drain() {
 // Round returns the last committed round.
 func (nd *Node) Round() int64 { return nd.round.Load() }
 
-// Journal materializes the in-memory journal. Read it after Run
-// returns; the round loop appends to the backing arena concurrently
-// while running.
+// Journal materializes the in-memory journal of a node built without a
+// Config.Journal sink. Read it after Run returns; the round loop appends
+// to the backing arena concurrently while running. A node that streams
+// its journal keeps no copy in memory, so Journal returns nil for it:
+// read the sink back with ReadJournal or LoadJournal.
 func (nd *Node) Journal() *Journal { return nd.core.jw.journal() }
 
 // Status snapshots the node for the client API.

@@ -19,38 +19,72 @@ import (
 // nothing, sequentially and on the shard pool. The ring spans two default
 // shards, so Workers 2 runs both epochs of the step on the pool. The
 // daemon declares sim.FiresAll, so the engine must never call its Select.
+// Unison declares NA uniform, so its steps are speculated and evaluate no
+// guard; the same ring behind noUniform evaluates all n guards a step.
 func TestFusedStepZeroAlloc(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector allocates on its own")
 	}
 	n := 2 * sim.DefaultShardSize
-	p := unisonRing(t, n)
-	for _, workers := range []int{1, 2} {
-		d := &countingSync{}
-		e, err := sim.NewEngineWith[int](p, d, make(sim.Config[int], n), 1, sim.Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		drive(t, e, 4) // size the scratch buffers and start the pool
-		if moves := e.Moves(); moves != 4*n {
-			t.Fatalf("workers=%d: %d moves in 4 steps, want %d (not the full-firing steady state)", workers, moves, 4*n)
-		}
-		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := e.Step(); err != nil {
+	uni := unisonRing(t, n)
+	for _, tc := range []struct {
+		name  string
+		p     sim.Protocol[int]
+		evals int64 // guard evaluations per step
+	}{
+		{"speculated", uni, 0},
+		{"guard-pass", noUniform{uni}, int64(n)},
+	} {
+		for _, workers := range []int{1, 2} {
+			d := &countingSync{}
+			e, err := sim.NewEngineWith[int](tc.p, d, make(sim.Config[int], n), 1, sim.Options{Workers: workers})
+			if err != nil {
 				t.Fatal(err)
 			}
-			if c := e.Current(); len(c) != n {
-				t.Fatalf("workers=%d: Current has %d states, want %d", workers, len(c), n)
+			drive(t, e, 4) // size the scratch buffers and start the pool
+			if moves := e.Moves(); moves != 4*n {
+				t.Fatalf("%s/workers=%d: %d moves in 4 steps, want %d (not the full-firing steady state)", tc.name, workers, moves, 4*n)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("workers=%d: %.2f allocs per steady-state step and read, want 0", workers, allocs)
+			evals := e.GuardEvals()
+			const runs = 100
+			allocs := testing.AllocsPerRun(runs, func() {
+				if _, err := e.Step(); err != nil {
+					t.Fatal(err)
+				}
+				if c := e.Current(); len(c) != n {
+					t.Fatalf("%s/workers=%d: Current has %d states, want %d", tc.name, workers, len(c), n)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s/workers=%d: %.2f allocs per steady-state step and read, want 0", tc.name, workers, allocs)
+			}
+			// AllocsPerRun makes one warm-up run besides the counted ones.
+			if got := (e.GuardEvals() - evals) / (runs + 1); got != tc.evals {
+				t.Errorf("%s/workers=%d: %d guard evaluations per step, want %d", tc.name, workers, got, tc.evals)
+			}
+			if d.selects != 0 {
+				t.Errorf("%s/workers=%d: Select called %d times on a daemon declaring sim.FiresAll", tc.name, workers, d.selects)
+			}
+			e.Close()
 		}
-		if d.selects != 0 {
-			t.Errorf("workers=%d: Select called %d times on a daemon declaring sim.FiresAll", workers, d.selects)
-		}
-		e.Close()
 	}
+}
+
+// noUniform hides a protocol's Uniform declaration and forwards its
+// other capabilities, so its full-firing sd steps run the guard pass.
+type noUniform struct{ sim.Protocol[int] }
+
+func (o noUniform) Flat() (sim.Flat[int], bool) {
+	f := sim.FlatOf(o.Protocol)
+	return f, f != nil
+}
+func (o noUniform) Local() (sim.Local, bool) {
+	l := sim.LocalOf(o.Protocol)
+	return l, l != nil
+}
+func (o noUniform) MaxRule() sim.Rule {
+	r, _ := sim.MaxRuleOf(o.Protocol)
+	return r
 }
 
 // TestFusedPartialStepZeroAlloc covers the other fused variant: from a

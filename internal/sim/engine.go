@@ -141,6 +141,15 @@ type Engine[S comparable] struct {
 	dirty        []int
 	dirtyMark    []bool
 
+	// Speculative synchronous steps (see stepFused): uniform is the
+	// protocol's declared Uniform rule (NoRule without the capability);
+	// ruleAll is the one rule every ruleOf slot held at the last dense
+	// refresh, NoRule when the rules were mixed or when the configuration
+	// or ruleOf has been rewritten since (load, a sparse refresh,
+	// DisableIncremental).
+	uniform Rule
+	ruleAll Rule
+
 	// Packed state. st is the front buffer — the source of truth; cfg is
 	// its decoded shadow, so daemons, hooks and Current() observe the
 	// protocol's own state type. The general path decodes the moved
@@ -188,10 +197,11 @@ type Engine[S comparable] struct {
 	runJob    func(shard int)
 	activated []int
 
-	// guardEvals counts EnabledRule evaluations made by the engine itself
-	// (rescans, incremental refreshes, rule lookups, round settlement),
-	// batch kernels included vertex by vertex. Guard evaluations a daemon
-	// performs internally are not included.
+	// guardEvals counts the EnabledRule evaluations the engine actually
+	// performs (rescans, incremental refreshes, rule lookups, round
+	// settlement), batch kernels included vertex by vertex. A speculated
+	// synchronous step evaluates no guard and adds nothing. Guard
+	// evaluations a daemon performs internally are not included.
 	guardEvals int64
 
 	// The enabled list is allVerts when every vertex is enabled, otherwise
@@ -298,6 +308,7 @@ func NewEngineWith[S comparable](p Protocol[S], d Daemon[S], initial Config[S], 
 		e.influenceOff, e.influenceAdj = InfluenceCSR(p.N(), l)
 		e.ruleOf = make([]Rule, p.N())
 		e.dirtyMark = make([]bool, p.N())
+		e.uniform = UniformOf(p)
 		e.seedEnabled()
 	}
 	e.startRound()
@@ -311,10 +322,13 @@ func (e *Engine[S]) seedEnabled() { e.refreshDense() }
 
 // load packs cfg into st and decodes it back into cfg, shard by shard, so
 // the shadow invariant cfg[v] == DecodeState(v, st[v*w:]) holds from the
-// first step and again after every SetConfig.
+// first step and again after every SetConfig. ruleOf no longer describes
+// the configuration, so the recorded uniform rule is cleared until the
+// next dense refresh.
 func (e *Engine[S]) load() {
 	e.forShards(len(e.allVerts), phaseLoad)
 	e.stale = false
+	e.ruleAll = NoRule
 }
 
 // loadShard is load's shard body: pack and decode back vertices [lo, hi).
@@ -334,13 +348,23 @@ func (e *Engine[S]) loadShard(lo, hi int) {
 // influence-set iteration, no mark churn, no list patching). Each shard evaluates
 // its guard range and collects its enabled vertices in the same pass
 // (collectRun); compactRuns then joins the runs in shard order, so the
-// rebuilt list is identical for every worker count.
+// rebuilt list is identical for every worker count. The same pass records
+// in ruleAll whether every vertex is enabled with one rule.
 func (e *Engine[S]) refreshDense() {
 	n := len(e.allVerts)
 	e.guardEvals += int64(n)
 	e.enabledAlt = growSlice(e.enabledAlt, n)
 	e.collect = e.enabledAlt
 	shards := e.forShards(n, phaseRefreshFlat)
+	e.ruleAll = NoRule
+	if shards > 0 {
+		e.ruleAll = e.runs[0].rule
+		for _, r := range e.runs[1:shards] {
+			if r.rule != e.ruleAll {
+				e.ruleAll = NoRule
+			}
+		}
+	}
 	e.installEnabled(e.compactRuns(shards))
 }
 
@@ -369,10 +393,13 @@ func (e *Engine[S]) refreshFlatShard(sh, lo, hi int) {
 
 // enabledRun is one shard's slice of a rebuilt enabled list: n of the
 // shard's vertices enabled, written at collect[lo:lo+n] — or, when full,
-// all of them and not written at all (they are allVerts[lo:lo+n]).
+// all of them and not written at all (they are allVerts[lo:lo+n]). rule
+// is the one rule every vertex of a full run is enabled with, NoRule when
+// the run is partial or its rules are mixed.
 type enabledRun struct {
 	lo, n int
 	full  bool
+	rule  Rule
 }
 
 // collectRun records the shard's run of enabled vertices: when every
@@ -380,9 +407,19 @@ type enabledRun struct {
 // vertices lo+i with a set rule are written in increasing order to the
 // front of the shard's own range collect[lo:]. The store is unconditional
 // and only the cursor advances on a set rule, so the loop has no
-// data-dependent branch.
+// data-dependent branch. The scan for an unset rule first runs as a scan
+// for the first rule's end, so one pass also tells a uniform run.
 func (e *Engine[S]) collectRun(sh, lo int, ruleOf []Rule) {
-	if !slices.Contains(ruleOf, NoRule) {
+	r0 := ruleOf[0]
+	i := 1
+	for i < len(ruleOf) && ruleOf[i] == r0 {
+		i++
+	}
+	switch {
+	case i == len(ruleOf) && r0 != NoRule:
+		e.runs[sh] = enabledRun{lo: lo, n: len(ruleOf), full: true, rule: r0}
+		return
+	case r0 != NoRule && !slices.Contains(ruleOf[i:], NoRule):
 		e.runs[sh] = enabledRun{lo: lo, n: len(ruleOf), full: true}
 		return
 	}
@@ -624,9 +661,11 @@ func (e *Engine[S]) Moves() int { return e.moves }
 func (e *Engine[S]) Rounds() int { return e.rounds }
 
 // GuardEvals returns the number of guard (EnabledRule) evaluations the
-// engine has performed so far — the hot-path cost measure the scaling
-// benchmarks report. Incremental engines spend O(Δ·avg-degree) per step;
-// full-rescan engines spend O(N).
+// engine has actually performed so far — the hot-path cost measure the
+// scaling benchmarks report. Incremental engines spend O(Δ·avg-degree)
+// per sparse step and N per dense one; full-rescan engines spend O(N). A
+// speculated synchronous step (see stepFused) evaluates none, so the sd
+// steady state of a protocol declaring Uniform adds 0 per step.
 func (e *Engine[S]) GuardEvals() int64 { return e.guardEvals }
 
 // Incremental reports whether the engine is maintaining the enabled set
@@ -656,6 +695,7 @@ func (e *Engine[S]) DisableIncremental() {
 	e.influenceOff = nil
 	e.influenceAdj = nil
 	e.ruleOf = nil
+	e.ruleAll = NoRule
 	e.dirty = nil
 	e.dirtyMark = nil
 	e.enabledAlt = nil
@@ -774,6 +814,7 @@ func (e *Engine[S]) refreshEnabled(activated []int) []int {
 		e.refreshDense()
 		return nil
 	}
+	e.ruleAll = NoRule // ruleOf is patched below, not re-collected
 	e.dirty = e.dirty[:0]
 	for _, v := range activated {
 		for _, u := range e.influenceAdj[e.influenceOff[v]:e.influenceOff[v+1]] {
@@ -975,24 +1016,36 @@ func (e *Engine[S]) random() *rand.Rand {
 // back. The decoded shadow is only marked stale (Current decodes it on
 // read). The refreshDense rebuild is the step's second and last epoch;
 // below the shard size both run inline, and a warm step allocates nothing
-// (TestFusedStepZeroAlloc, TestFusedPartialStepZeroAlloc). The observable execution — selection,
-// rules, counters, guard-evaluation accounting (+N from the refreshDense
-// rebuild, as on the general dense path), hook order — is bitwise
-// identical to the general path; the differential matrix pins this.
+// (TestFusedStepZeroAlloc, TestFusedPartialStepZeroAlloc).
+//
+// A full firing from a configuration whose every vertex is enabled with
+// the protocol's declared Uniform rule is speculated: the declaration says
+// every vertex is enabled with that rule again, so the rebuild is skipped
+// — ruleOf, the enabled list (allVerts) and ruleAll carry over, and the
+// hooks get ruleOf itself as the step's rules. Such a step evaluates no
+// guard, so GuardEvals grows by 0 instead of N (the unison-family sd steady
+// state). Everything else the execution shows — selection, rules,
+// configuration, steps, moves, rounds, hook order — is bitwise identical
+// to the general path; the differential matrix and the fixpoint oracle
+// tests pin this.
 func (e *Engine[S]) stepFused(activated []int) (bool, error) {
 	n := len(e.allVerts)
 	k := len(activated)
 	w := e.w
+	speculated := k == n && e.uniform != NoRule && e.ruleAll == e.uniform
 	e.rules = growSlice(e.rules, n)
 	e.stNext = growSlice(e.stNext, n*w)
 	if k == n {
 		// Full firing: selection position i is vertex i, so ruleOf is the
 		// step's rule list verbatim and ApplyFlat's position-indexed output
-		// lands verbatim in the back buffer. The fired rules are handed to
-		// the hooks by swapping ruleOf with the rules buffer — the rebuild
-		// below overwrites every ruleOf slot, so no copy is needed.
+		// lands verbatim in the back buffer. Unless the step is speculated,
+		// the fired rules are handed to the hooks by swapping ruleOf with
+		// the rules buffer — the rebuild below overwrites every ruleOf
+		// slot, so no copy is needed.
 		e.forShards(n, phaseApplyAll)
-		e.rules, e.ruleOf = e.ruleOf, e.rules
+		if !speculated {
+			e.rules, e.ruleOf = e.ruleOf, e.rules
+		}
 	} else {
 		// Partial firing: shards still cover the vertex range (so the gap
 		// copies partition the buffer); each shard locates its slice of the
@@ -1011,9 +1064,13 @@ func (e *Engine[S]) stepFused(activated []int) (bool, error) {
 	// Same post-commit order as the general path: rebuild, then settle the
 	// round against the fresh ruleOf, then fire hooks. refreshDense swaps
 	// the enabled buffers but leaves activated's backing array intact.
-	e.refreshDense()
+	rules := e.ruleOf
+	if !speculated {
+		e.refreshDense()
+		rules = e.rules[:k]
+	}
 	e.settleRound(activated, nil)
-	e.fireHooks(StepInfo{Step: e.steps, Activated: activated, Rules: e.rules[:k]})
+	e.fireHooks(StepInfo{Step: e.steps, Activated: activated, Rules: rules})
 	return true, nil
 }
 

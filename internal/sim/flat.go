@@ -144,7 +144,11 @@ func MaxRuleOf[S comparable](p Protocol[S]) (Rule, bool) {
 // full-firing SSME step forced onto two shards loses to one worker at
 // n = 8192 (86–94 vs 58–86 µs), breaks even at 16384 and wins from
 // 24576 on (188–207 vs 241–249 µs), so the 8192-ring steps inline and the
-// 65536- and 1048576-rings still split in two.
+// 65536- and 1048576-rings still split in two. Those figures were taken
+// with the guard pass in every step. A speculated step (stepFused) is its
+// apply epoch alone; re-measured on it, two shards win slightly at 8192
+// (11–12 vs 13–14 µs) and lose from 16384 to 32768, so the constant stays
+// (BENCH_parallel.json, speculated_step).
 const DefaultShardSize = 16384
 
 // Options configures engine construction beyond the mandatory arguments

@@ -28,7 +28,10 @@
 // guard/apply kernels and a double-buffered, shard-parallel synchronous
 // step. The differential tests assert that its executions match, bit for
 // bit and for every worker count, a sequential reference stepper that
-// interprets the guarded rules directly.
+// interprets the guarded rules directly. A protocol may also declare a
+// rule that the synchronous step maps onto itself (the Uniform
+// capability, uniform.go); the engine then skips the guard pass of the
+// steps that fire it everywhere, without changing executions.
 package sim
 
 import (

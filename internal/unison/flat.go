@@ -189,3 +189,18 @@ var _ sim.Flat[int] = (*Protocol)(nil)
 func (p *Protocol) MaxRule() sim.Rule { return RuleRA }
 
 var _ sim.RuleBounded = (*Protocol)(nil)
+
+// UniformRule implements sim.Uniform: NA is a fixpoint of the synchronous
+// step. Proof: let every vertex be NA-enabled, so normalStep_v holds for
+// all v, and let all of them fire. normalStep_v reads only whether r_v and
+// each neighbour's r_u lie in stabX, d_K(r_v, r_u) ≤ 1 and r_v ≤_l r_u.
+// Every r_v lies in stabX (allCorrect_v), where NA is r ↦ r+1 mod K, so the
+// firing maps stabX onto itself and shifts every register by the same
+// amount. d_K and ≤_l depend only on (r_u − r_v) mod K, which a common
+// shift keeps. So normalStep_v holds again for every v, and EnabledRule
+// checks NA first. The r_v = 0 exception concerns RA only. Nothing here
+// depends on the graph, α or K (K = 2 included). CA and RA are not
+// fixpoints: CA climbs the init tail toward 0 and RA leaves stabX.
+func (p *Protocol) UniformRule() sim.Rule { return RuleNA }
+
+var _ sim.Uniform = (*Protocol)(nil)
