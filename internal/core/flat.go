@@ -27,4 +27,8 @@ var _ sim.RuleBounded = (*Protocol)(nil)
 // unison's, so unison's NA fixpoint carries over.
 func (p *Protocol) UniformRule() sim.Rule { return p.uni.UniformRule() }
 
+// ApplyUniformFlat implements sim.Uniform: unison's tick, on the same
+// one-word records.
+func (p *Protocol) ApplyUniformFlat(st []int64) { p.uni.ApplyUniformFlat(st) }
+
 var _ sim.Uniform = (*Protocol)(nil)

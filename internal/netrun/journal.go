@@ -225,27 +225,46 @@ func ReadJournal(r io.Reader) (*Journal, error) {
 		if len(bytes.TrimSpace(raw)) == 0 {
 			continue
 		}
-		var kind struct {
-			Kind string `json:"kind"`
+		// Line 1 decodes straight into the header, every later line into
+		// a round record, and the record's own Kind field names it, so a
+		// well-formed line is decoded once.
+		var e Entry
+		var target any = &e
+		kindOf := &e.Kind
+		if line == 1 {
+			target, kindOf = &j.Header, &j.Header.Kind
 		}
-		if err := json.Unmarshal(raw, &kind); err != nil {
-			torn = fmt.Errorf("netrun: journal record %d: %w", line, err)
-			continue
+		err := json.Unmarshal(raw, target)
+		kind := *kindOf
+		if err != nil {
+			// A record that did not decode cleanly is classified by its kind
+			// alone: a line that is not a JSON object with a string kind is
+			// torn, one of a known kind fails as that kind.
+			var probe struct {
+				Kind string `json:"kind"`
+			}
+			if perr := json.Unmarshal(raw, &probe); perr != nil {
+				if line == 1 {
+					j.Header = Header{} // a torn line carries no header
+				}
+				torn = fmt.Errorf("netrun: journal record %d: %w", line, perr)
+				continue
+			}
+			kind = probe.Kind
 		}
-		switch kind.Kind {
+		switch kind {
 		case "header":
 			if line != 1 {
 				return nil, fmt.Errorf("netrun: journal record %d: second header", line)
 			}
-			if err := json.Unmarshal(raw, &j.Header); err != nil {
+			if err != nil {
 				return nil, fmt.Errorf("netrun: journal header: %w", err)
 			}
 		case "round":
 			if line == 1 {
 				return nil, fmt.Errorf("netrun: journal starts with a round record, not a header")
 			}
-			var e Entry
-			if err := json.Unmarshal(raw, &e); err != nil {
+			if err != nil {
 				torn = fmt.Errorf("netrun: journal record %d: %w", line, err)
 				continue
 			}
@@ -255,7 +274,7 @@ func ReadJournal(r io.Reader) (*Journal, error) {
 			}
 			j.Entries = append(j.Entries, e)
 		default:
-			return nil, fmt.Errorf("netrun: journal record %d: unknown kind %q", line, kind.Kind)
+			return nil, fmt.Errorf("netrun: journal record %d: unknown kind %q", line, kind)
 		}
 	}
 	if err := sc.Err(); err != nil {

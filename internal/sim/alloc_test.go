@@ -17,56 +17,65 @@ import (
 // under sd — every vertex fires NA every step, the full-firing fused path
 // — a step and the Current() read that decodes its stale shadow allocate
 // nothing, sequentially and on the shard pool. The ring spans two default
-// shards, so Workers 2 runs both epochs of the step on the pool. The
-// daemon declares sim.FiresAll, so the engine must never call its Select.
-// Unison declares NA uniform, so its steps are speculated and evaluate no
-// guard; the same ring behind noUniform evaluates all n guards a step.
+// shards, so Workers 2 runs the step's epochs on the pool. The daemon
+// declares sim.FiresAll, so the engine must never call its Select.
+// Unison declares NA uniform, so its steps are speculated: they tick the
+// front buffer in place and evaluate no guard. The same ring behind
+// noUniform evaluates all n guards a step. A small ring at Workers 2 with
+// ShardSize n/2 runs the in-place kernel on two pool shards too.
 func TestFusedStepZeroAlloc(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector allocates on its own")
 	}
 	n := 2 * sim.DefaultShardSize
 	uni := unisonRing(t, n)
-	for _, tc := range []struct {
+	type variant struct {
 		name  string
 		p     sim.Protocol[int]
+		opts  sim.Options
 		evals int64 // guard evaluations per step
-	}{
-		{"speculated", uni, 0},
-		{"guard-pass", noUniform{uni}, int64(n)},
-	} {
-		for _, workers := range []int{1, 2} {
-			d := &countingSync{}
-			e, err := sim.NewEngineWith[int](tc.p, d, make(sim.Config[int], n), 1, sim.Options{Workers: workers})
-			if err != nil {
+	}
+	var cases []variant
+	for _, workers := range []int{1, 2} {
+		cases = append(cases,
+			variant{"speculated", uni, sim.Options{Workers: workers}, 0},
+			variant{"guard-pass", noUniform{uni}, sim.Options{Workers: workers}, int64(n)})
+	}
+	const small = 64
+	cases = append(cases, variant{"speculated-small", unisonRing(t, small), sim.Options{Workers: 2, ShardSize: small / 2}, 0})
+	for _, tc := range cases {
+		n := tc.p.N()
+		name := fmt.Sprintf("%s/workers=%d", tc.name, tc.opts.Workers)
+		d := &countingSync{}
+		e, err := sim.NewEngineWith[int](tc.p, d, make(sim.Config[int], n), 1, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drive(t, e, 4) // size the scratch buffers and start the pool
+		if moves := e.Moves(); moves != 4*n {
+			t.Fatalf("%s: %d moves in 4 steps, want %d (not the full-firing steady state)", name, moves, 4*n)
+		}
+		evals := e.GuardEvals()
+		const runs = 100
+		allocs := testing.AllocsPerRun(runs, func() {
+			if _, err := e.Step(); err != nil {
 				t.Fatal(err)
 			}
-			drive(t, e, 4) // size the scratch buffers and start the pool
-			if moves := e.Moves(); moves != 4*n {
-				t.Fatalf("%s/workers=%d: %d moves in 4 steps, want %d (not the full-firing steady state)", tc.name, workers, moves, 4*n)
+			if c := e.Current(); len(c) != n {
+				t.Fatalf("%s: Current has %d states, want %d", name, len(c), n)
 			}
-			evals := e.GuardEvals()
-			const runs = 100
-			allocs := testing.AllocsPerRun(runs, func() {
-				if _, err := e.Step(); err != nil {
-					t.Fatal(err)
-				}
-				if c := e.Current(); len(c) != n {
-					t.Fatalf("%s/workers=%d: Current has %d states, want %d", tc.name, workers, len(c), n)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("%s/workers=%d: %.2f allocs per steady-state step and read, want 0", tc.name, workers, allocs)
-			}
-			// AllocsPerRun makes one warm-up run besides the counted ones.
-			if got := (e.GuardEvals() - evals) / (runs + 1); got != tc.evals {
-				t.Errorf("%s/workers=%d: %d guard evaluations per step, want %d", tc.name, workers, got, tc.evals)
-			}
-			if d.selects != 0 {
-				t.Errorf("%s/workers=%d: Select called %d times on a daemon declaring sim.FiresAll", tc.name, workers, d.selects)
-			}
-			e.Close()
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.2f allocs per steady-state step and read, want 0", name, allocs)
 		}
+		// AllocsPerRun makes one warm-up run besides the counted ones.
+		if got := (e.GuardEvals() - evals) / (runs + 1); got != tc.evals {
+			t.Errorf("%s: %d guard evaluations per step, want %d", name, got, tc.evals)
+		}
+		if d.selects != 0 {
+			t.Errorf("%s: Select called %d times on a daemon declaring sim.FiresAll", name, d.selects)
+		}
+		e.Close()
 	}
 }
 

@@ -141,12 +141,13 @@ type Engine[S comparable] struct {
 	dirty        []int
 	dirtyMark    []bool
 
-	// Speculative synchronous steps (see stepFused): uniform is the
-	// protocol's declared Uniform rule (NoRule without the capability);
-	// ruleAll is the one rule every ruleOf slot held at the last dense
-	// refresh, NoRule when the rules were mixed or when the configuration
-	// or ruleOf has been rewritten since (load, a sparse refresh,
-	// DisableIncremental).
+	// Speculative synchronous steps (see stepFused): uni is the
+	// protocol's Uniform capability (nil without it) and uniform its
+	// declared rule (NoRule without it); ruleAll is the one rule every
+	// ruleOf slot held at the last dense refresh, NoRule when the rules
+	// were mixed or when the configuration or ruleOf has been rewritten
+	// since (load, a sparse refresh, DisableIncremental).
+	uni     Uniform
 	uniform Rule
 	ruleAll Rule
 
@@ -159,7 +160,7 @@ type Engine[S comparable] struct {
 	w        int     // words per vertex
 	st       []int64 // packed configuration, vertex-major
 	nextW    []int64 // staged next words, indexed by selection position
-	stNext   []int64 // back buffer of the fused synchronous step (swapped, not copied)
+	stNext   []int64 // back buffer of the fused step (swapped, not copied); a speculated step ticks st in place
 	allVerts []int   // identity list (its length is n): batch rescans, and the enabled list when all n are enabled
 	allRules []Rule  // rescan scratch
 	stale    bool    // cfg lags st; Current decodes it
@@ -309,6 +310,9 @@ func NewEngineWith[S comparable](p Protocol[S], d Daemon[S], initial Config[S], 
 		e.ruleOf = make([]Rule, p.N())
 		e.dirtyMark = make([]bool, p.N())
 		e.uniform = UniformOf(p)
+		if e.uniform != NoRule {
+			e.uni = any(p).(Uniform)
+		}
 		e.seedEnabled()
 	}
 	e.startRound()
@@ -1019,45 +1023,51 @@ func (e *Engine[S]) random() *rand.Rand {
 // (TestFusedStepZeroAlloc, TestFusedPartialStepZeroAlloc).
 //
 // A full firing from a configuration whose every vertex is enabled with
-// the protocol's declared Uniform rule is speculated: the declaration says
+// the protocol's declared Uniform rule is speculated. Every vertex fires
+// that one rule and its move reads only its own record, so the step is
+// the protocol's ApplyUniformFlat kernel run over the front buffer in
+// place, shard by shard over disjoint ranges: no rule is read from ruleOf,
+// the back buffer is neither written nor swapped in. The declaration says
 // every vertex is enabled with that rule again, so the rebuild is skipped
-// — ruleOf, the enabled list (allVerts) and ruleAll carry over, and the
-// hooks get ruleOf itself as the step's rules. Such a step evaluates no
-// guard, so GuardEvals grows by 0 instead of N (the unison-family sd steady
-// state). Everything else the execution shows — selection, rules,
+// too — ruleOf, the enabled list (allVerts) and ruleAll carry over, and
+// the hooks get ruleOf itself as the step's rules. Such a step evaluates
+// no guard, so GuardEvals grows by 0 instead of N (the unison-family sd
+// steady state). Everything else the execution shows — selection, rules,
 // configuration, steps, moves, rounds, hook order — is bitwise identical
-// to the general path; the differential matrix and the fixpoint oracle
-// tests pin this.
+// to the general path; the differential matrix, the fixpoint oracle tests
+// and the kernel oracle pin this.
 func (e *Engine[S]) stepFused(activated []int) (bool, error) {
 	n := len(e.allVerts)
 	k := len(activated)
 	w := e.w
 	speculated := k == n && e.uniform != NoRule && e.ruleAll == e.uniform
-	e.rules = growSlice(e.rules, n)
-	e.stNext = growSlice(e.stNext, n*w)
-	if k == n {
-		// Full firing: selection position i is vertex i, so ruleOf is the
-		// step's rule list verbatim and ApplyFlat's position-indexed output
-		// lands verbatim in the back buffer. Unless the step is speculated,
-		// the fired rules are handed to the hooks by swapping ruleOf with
-		// the rules buffer — the rebuild below overwrites every ruleOf
-		// slot, so no copy is needed.
-		e.forShards(n, phaseApplyAll)
-		if !speculated {
-			e.rules, e.ruleOf = e.ruleOf, e.rules
-		}
+	if speculated {
+		e.forShards(n, phaseApplyUniform)
 	} else {
-		// Partial firing: shards still cover the vertex range (so the gap
-		// copies partition the buffer); each shard locates its slice of the
-		// activated list by binary search, stages its applies at selection
-		// positions, then interleaves gap copies and staged words into the
-		// back buffer.
-		e.nextW = growSlice(e.nextW, k*w)
-		e.activated = activated
-		e.forShards(n, phaseApplyPartial)
-		e.activated = nil
+		e.rules = growSlice(e.rules, n)
+		e.stNext = growSlice(e.stNext, n*w)
+		if k == n {
+			// Full firing: selection position i is vertex i, so ruleOf is
+			// the step's rule list verbatim and ApplyFlat's position-indexed
+			// output lands verbatim in the back buffer. The fired rules are
+			// handed to the hooks by swapping ruleOf with the rules buffer —
+			// the rebuild below overwrites every ruleOf slot, so no copy is
+			// needed.
+			e.forShards(n, phaseApplyAll)
+			e.rules, e.ruleOf = e.ruleOf, e.rules
+		} else {
+			// Partial firing: shards still cover the vertex range (so the
+			// gap copies partition the buffer); each shard locates its slice
+			// of the activated list by binary search, stages its applies at
+			// selection positions, then interleaves gap copies and staged
+			// words into the back buffer.
+			e.nextW = growSlice(e.nextW, k*w)
+			e.activated = activated
+			e.forShards(n, phaseApplyPartial)
+			e.activated = nil
+		}
+		e.st, e.stNext = e.stNext, e.st
 	}
-	e.st, e.stNext = e.stNext, e.st
 	e.stale = true
 	e.steps++
 	e.moves += k
@@ -1074,9 +1084,17 @@ func (e *Engine[S]) stepFused(activated []int) (bool, error) {
 	return true, nil
 }
 
-// applyAllShard is the full-firing shard body of stepFused: apply every
-// vertex of [lo, hi) with its maintained rule against the frozen front
-// buffer into the back buffer.
+// applyUniformShard is the speculated shard body of stepFused: tick the
+// records of [lo, hi) in place with the protocol's uniform kernel. Shards
+// write disjoint ranges, and the kernel reads only the record it
+// rewrites, so no shard sees another's output.
+func (e *Engine[S]) applyUniformShard(lo, hi int) {
+	e.uni.ApplyUniformFlat(e.st[lo*e.w : hi*e.w])
+}
+
+// applyAllShard is the full-firing shard body of stepFused when the step
+// is not speculated: apply every vertex of [lo, hi) with its maintained
+// rule against the frozen front buffer into the back buffer.
 func (e *Engine[S]) applyAllShard(lo, hi int) {
 	w := e.w
 	e.fl.ApplyFlat(e.st, w, 0, e.allVerts[lo:hi], e.ruleOf[lo:hi], e.stNext[lo*w:hi*w], w, 0)
@@ -1229,6 +1247,7 @@ const (
 	phaseRefreshFlat
 	phaseRescan
 	phaseRefreshDirty
+	phaseApplyUniform
 	phaseApplyAll
 	phaseApplyPartial
 	phaseEval
@@ -1246,6 +1265,8 @@ func (e *Engine[S]) runShard(ph shardPhase, sh, lo, hi int) {
 		e.rescanShard(sh, lo, hi)
 	case phaseRefreshDirty:
 		e.refreshDirtyShard(lo, hi)
+	case phaseApplyUniform:
+		e.applyUniformShard(lo, hi)
 	case phaseApplyAll:
 		e.applyAllShard(lo, hi)
 	case phaseApplyPartial:

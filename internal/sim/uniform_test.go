@@ -178,6 +178,51 @@ func mixedEnabled(p clocked) sim.Config[int] {
 	return c
 }
 
+// TestUniformKernelMatchesApplyFlat checks each instance's in-place
+// kernel against ApplyFlat with the uniform rule, on every clock value in
+// every position of slices of 0 to 9 records: st[i] = (r + i) mod K for
+// every r ∈ [0, K), so the K−1 wrap lands on every position, the
+// unrolled body's and the tail's. Besides the enumerable zoo (unison at
+// K = 2, 3 and n+1, SSME, ℓ-exclusion) it runs unison on SSME's clock.
+func TestUniformKernelMatchesApplyFlat(t *testing.T) {
+	t.Parallel()
+	ssme := core.MustNew(graph.Ring(5))
+	x := ssme.Clock()
+	cases := append(enumerableZoo(t), newUnison(t, graph.Ring(5), x.Alpha, x.K), uniformCase{"ssme@ring-5", ssme})
+	for _, tc := range cases {
+		u, ok := tc.p.(sim.Uniform)
+		if !ok {
+			t.Fatalf("%s does not implement sim.Uniform", tc.name)
+		}
+		fl := sim.FlatOf[int](tc.p)
+		if w := fl.FlatWords(); w != 1 {
+			t.Fatalf("%s: %d words per record, want 1", tc.name, w)
+		}
+		k := int64(tc.p.Clock().K)
+		rule := u.UniformRule()
+		for size := 0; size <= 9; size++ {
+			vs := make([]int, size)
+			rules := make([]sim.Rule, size)
+			for i := range vs {
+				vs[i], rules[i] = i, rule
+			}
+			st := make([]int64, size)
+			want := make([]int64, size)
+			for r := int64(0); r < k; r++ {
+				for i := range st {
+					st[i] = (r + int64(i)) % k
+				}
+				fl.ApplyFlat(st, 1, 0, vs, rules, want, 1, 0)
+				before := slices.Clone(st)
+				u.ApplyUniformFlat(st)
+				if !slices.Equal(st, want) {
+					t.Fatalf("%s: kernel on %v = %v, ApplyFlat(%s) = %v", tc.name, before, st, tc.p.RuleName(rule), want)
+				}
+			}
+		}
+	}
+}
+
 // TestUniformEngineMatchesRescanTwin drives each instance under sd at
 // Workers 1 and 4 (shards of 8 vertices, so every phase splits) from a
 // random start into the steady state, then replaces the configuration
@@ -188,7 +233,11 @@ func mixedEnabled(p clocked) sim.Config[int] {
 // configuration, rounds and moves of a DisableIncremental twin that
 // evaluates every guard. Before every SetConfig the engine must be
 // speculating, so the replacement always lands on a recorded uniform
-// rule.
+// rule. The unison-family instances on a 38-ring also run at Workers 4
+// with ShardSize 9 (shards of 16, 16 and 6 vertices after the cache-line
+// rounding) and at Workers 8 with ShardSize 5 (seven shards of 5 and one
+// of 3), so the in-place kernel's shards end off a multiple of its
+// four-record stride.
 func TestUniformEngineMatchesRescanTwin(t *testing.T) {
 	t.Parallel()
 	for _, tc := range engineZoo(t) {
@@ -196,6 +245,19 @@ func TestUniformEngineMatchesRescanTwin(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/workers-%d", tc.name, workers), func(t *testing.T) {
 				t.Parallel()
 				checkUniformLockstep(t, tc.p, sim.Options{Workers: workers, ShardSize: 8})
+			})
+		}
+	}
+	g := graph.Ring(38)
+	for _, tc := range []uniformCase{
+		newUnison(t, g, g.HoleBound()-2, g.N()+2),
+		{"ssme@" + g.Name(), core.MustNew(g)},
+		{"lexclusion[ℓ=3]@" + g.Name(), lexclusion.MustNew(g, 3)},
+	} {
+		for _, opts := range []sim.Options{{Workers: 4, ShardSize: 9}, {Workers: 8, ShardSize: 5}} {
+			t.Run(fmt.Sprintf("%s/workers-%d/shard-%d", tc.name, opts.Workers, opts.ShardSize), func(t *testing.T) {
+				t.Parallel()
+				checkUniformLockstep(t, tc.p, opts)
 			})
 		}
 	}

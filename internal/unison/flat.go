@@ -203,4 +203,26 @@ var _ sim.RuleBounded = (*Protocol)(nil)
 // fixpoints: CA climbs the init tail toward 0 and RA leaves stabX.
 func (p *Protocol) UniformRule() sim.Rule { return RuleNA }
 
+// ApplyUniformFlat implements sim.Uniform: every register ticks
+// r ↦ r+1 mod K in place. NA is enabled only on r ∈ [0, K), so r+1 lies
+// in [1, K] and wraps only at K: (r+1−K)>>63 is all ones below K and 0 at
+// K, and masking r+1 with it is the tick without a branch. Four registers
+// per iteration, then the tail.
+func (p *Protocol) ApplyUniformFlat(st []int64) {
+	k := int64(p.x.K)
+	i := 0
+	for ; i+4 <= len(st); i += 4 {
+		s := st[i : i+4 : i+4]
+		r0, r1, r2, r3 := s[0]+1, s[1]+1, s[2]+1, s[3]+1
+		s[0] = r0 & ((r0 - k) >> 63)
+		s[1] = r1 & ((r1 - k) >> 63)
+		s[2] = r2 & ((r2 - k) >> 63)
+		s[3] = r3 & ((r3 - k) >> 63)
+	}
+	for ; i < len(st); i++ {
+		r := st[i] + 1
+		st[i] = r & ((r - k) >> 63)
+	}
+}
+
 var _ sim.Uniform = (*Protocol)(nil)

@@ -1,10 +1,6 @@
 package unison
 
-import (
-	"math/rand"
-
-	"specstab/internal/sim"
-)
+import "specstab/internal/sim"
 
 // Specification 2 (spec_AU): safety is membership in Γ₁ for every
 // configuration of the execution; liveness is that every register is
@@ -43,18 +39,6 @@ func (p *Protocol) Legitimate(c sim.Config[int]) bool {
 	return true
 }
 
-// IllegitimacyCount returns the number of vertices whose local Γ₁ predicate
-// fails — the coarse progress measure used in traces and by adversaries.
-func (p *Protocol) IllegitimacyCount(c sim.Config[int]) int {
-	count := 0
-	for v := 0; v < p.g.N(); v++ {
-		if !p.LocallyLegitimate(c, v) {
-			count++
-		}
-	}
-	return count
-}
-
 // SyncHorizon is the synchronous stabilization bound of Boulinier et al.
 // (Algorithmica 2008) the paper quotes in Case 3 of Theorem 2's proof:
 // unison reaches Γ₁ within α + lcp(g) + diam(g) synchronous steps.
@@ -84,36 +68,4 @@ func (p *Protocol) DisorderPotential(c sim.Config[int], v int) int64 {
 		term -= int64(c[v])
 	}
 	return term
-}
-
-// RandomLegitimateConfig samples a configuration of Γ₁: a random base value
-// plus a ±1-bounded drift assigned along a BFS from a random root, then
-// rejection-checked. It powers the closure and safety property tests.
-func (p *Protocol) RandomLegitimateConfig(rng *rand.Rand) sim.Config[int] {
-	n := p.g.N()
-	for {
-		c := make(sim.Config[int], n)
-		root := rng.Intn(n)
-		base := rng.Intn(p.x.K)
-		assigned := make([]bool, n)
-		c[root] = base
-		assigned[root] = true
-		queue := []int{root}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range p.g.Neighbors(u) {
-				if assigned[v] {
-					continue
-				}
-				// Neighbor drift in {-1, 0, +1} around u's value.
-				c[v] = p.x.Mod(c[u] + rng.Intn(3) - 1)
-				assigned[v] = true
-				queue = append(queue, v)
-			}
-		}
-		if p.Legitimate(c) {
-			return c
-		}
-	}
 }
