@@ -1,6 +1,103 @@
 package graph
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
+
+// Additional topology families for the graph tests: the metric oracle
+// (metrics_oracle_test.go) runs on them besides the production generators,
+// because a metric is only as well tested as the zoo it is checked on.
+
+// Circulant returns the circulant graph C_n(jumps): vertex i is adjacent
+// to i±j (mod n) for every jump j. Jumps must be in [1, n/2]; duplicate
+// edges (e.g. j = n/2 twice) are merged.
+func Circulant(n int, jumps []int) *Graph {
+	if n < 3 {
+		panic(fmt.Sprintf("graph: circulant needs n ≥ 3, got %d", n))
+	}
+	seen := make(map[[2]int]bool)
+	var edges [][2]int
+	for _, j := range jumps {
+		if j < 1 || j > n/2 {
+			panic(fmt.Sprintf("graph: circulant jump %d outside [1, %d]", j, n/2))
+		}
+		for i := 0; i < n; i++ {
+			u, v := i, (i+j)%n
+			key := [2]int{min(u, v), max(u, v)}
+			if !seen[key] {
+				seen[key] = true
+				edges = append(edges, key)
+			}
+		}
+	}
+	return MustNew(fmt.Sprintf("circulant-%d%v", n, jumps), n, edges)
+}
+
+// Barbell returns two cliques of size k joined by a path of bridgeN
+// vertices — two dense regions with a thin waist, the hostile case for
+// privilege spreading.
+func Barbell(k, bridgeN int) *Graph {
+	if k < 2 || bridgeN < 0 {
+		panic("graph: barbell needs k ≥ 2 and bridgeN ≥ 0")
+	}
+	n := 2*k + bridgeN
+	var edges [][2]int
+	clique := func(start int) {
+		for i := start; i < start+k; i++ {
+			for j := i + 1; j < start+k; j++ {
+				edges = append(edges, [2]int{i, j})
+			}
+		}
+	}
+	clique(0)
+	clique(k + bridgeN)
+	// Bridge path k−1 → k → … → k+bridgeN.
+	prev := k - 1
+	for i := 0; i < bridgeN; i++ {
+		edges = append(edges, [2]int{prev, k + i})
+		prev = k + i
+	}
+	edges = append(edges, [2]int{prev, k + bridgeN})
+	return MustNew(fmt.Sprintf("barbell-%d+%d", k, bridgeN), n, edges)
+}
+
+// Caterpillar returns a spine path of spineN vertices with legs leaves
+// attached to every spine vertex — a tree with diameter spineN+1 and many
+// degree-1 vertices.
+func Caterpillar(spineN, legs int) *Graph {
+	if spineN < 1 || legs < 0 {
+		panic("graph: caterpillar needs spineN ≥ 1 and legs ≥ 0")
+	}
+	n := spineN * (1 + legs)
+	var edges [][2]int
+	for i := 0; i+1 < spineN; i++ {
+		edges = append(edges, [2]int{i, i + 1})
+	}
+	next := spineN
+	for i := 0; i < spineN; i++ {
+		for l := 0; l < legs; l++ {
+			edges = append(edges, [2]int{i, next})
+			next++
+		}
+	}
+	return MustNew(fmt.Sprintf("caterpillar-%dx%d", spineN, legs), n, edges)
+}
+
+// CycleWithChord returns C_n plus one chord between vertices 0 and span —
+// the minimal non-ring, non-tree instance whose hole/cyclo constants differ
+// from both extremes (useful for unison parameter tests).
+func CycleWithChord(n, span int) *Graph {
+	if n < 4 || span < 2 || span > n-2 {
+		panic(fmt.Sprintf("graph: chord span %d invalid for C_%d", span, n))
+	}
+	edges := make([][2]int, 0, n+1)
+	for i := 0; i < n; i++ {
+		edges = append(edges, [2]int{i, (i + 1) % n})
+	}
+	edges = append(edges, [2]int{0, span})
+	return MustNew(fmt.Sprintf("chordcycle-%d@%d", n, span), n, edges)
+}
 
 func TestCirculant(t *testing.T) {
 	t.Parallel()

@@ -22,7 +22,9 @@ import (
 // Unison declares NA uniform, so its steps are speculated: they tick the
 // front buffer in place and evaluate no guard. The same ring behind
 // noUniform evaluates all n guards a step. A small ring at Workers 2 with
-// ShardSize n/2 runs the in-place kernel on two pool shards too.
+// ShardSize n/2 runs the in-place kernel on two pool shards too, and a
+// 100-ring at Workers 2 with ShardSize 24 on shards of 56 and 44 records,
+// each a vector body (on CPUs with AVX2) and a tail.
 func TestFusedStepZeroAlloc(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector allocates on its own")
@@ -42,7 +44,9 @@ func TestFusedStepZeroAlloc(t *testing.T) {
 			variant{"guard-pass", noUniform{uni}, sim.Options{Workers: workers}, int64(n)})
 	}
 	const small = 64
-	cases = append(cases, variant{"speculated-small", unisonRing(t, small), sim.Options{Workers: 2, ShardSize: small / 2}, 0})
+	cases = append(cases,
+		variant{"speculated-small", unisonRing(t, small), sim.Options{Workers: 2, ShardSize: small / 2}, 0},
+		variant{"speculated-vector-tail", unisonRing(t, 100), sim.Options{Workers: 2, ShardSize: 24}, 0})
 	for _, tc := range cases {
 		n := tc.p.N()
 		name := fmt.Sprintf("%s/workers=%d", tc.name, tc.opts.Workers)

@@ -146,10 +146,17 @@ func MaxRuleOf[S comparable](p Protocol[S]) (Rule, bool) {
 // 24576 on (188–207 vs 241–249 µs), so the 8192-ring steps inline and the
 // 65536- and 1048576-rings still split in two. Those figures were taken
 // with the guard pass in every step. A speculated step (stepFused) is one
-// epoch, the in-place uniform tick; re-measured on it, two shards lose at
-// 8192 (8–10 vs 5–8 µs) and 16384 (18–19 vs 10–18 µs) and show no
-// resolvable win up to 65536, so the constant stays (BENCH_parallel.json,
-// uniform_kernel).
+// epoch, the in-place uniform tick. On unison's AVX2 kernel (about 0.2 ns
+// a record), two shards of n/2 lose to one worker at every size up to
+// 262144: 2.9–3.5 vs 1.7–2.2 µs at 8192, 18.7–20.4 vs 12.8–16.7 µs at
+// 65536, 132–133 vs 60–71 µs at 262144. They win only once the ring
+// outgrows the caches: 187–193 vs 212–223 µs at 524288, 285–327 vs
+// 437–469 µs at 1048576. That break-even concerns the speculated epoch
+// alone, while this constant also splits the guard-pass epochs that win
+// from 24576, so it stays (BENCH_parallel.json, vector_kernel). What two
+// shards lose below that is the pool's parked hand-off: in a prototype
+// pool whose helpers spin before parking, two shards won from 32768
+// (5.7–6.0 vs 7.4–8.7 µs) at the cost of a helper core kept spinning.
 const DefaultShardSize = 16384
 
 // Options configures engine construction beyond the mandatory arguments

@@ -13,7 +13,10 @@ package sim
 // what ApplyFlat writes for it with rule r. It reads nothing but the
 // record it rewrites (r's move must not read neighbours for a record to
 // be replaced in place), so shards over disjoint ranges may run it
-// concurrently.
+// concurrently. st may start anywhere and have any length: the engine
+// hands each shard its own range, and a kernel with a vector body (as
+// unison's on CPUs with AVX2) finishes a range off its block size with
+// a portable tail.
 //
 // This is speculation applied to the engine. Under the synchronous daemon
 // the probable execution of a unison-family protocol is Γ₁ with every
@@ -29,8 +32,9 @@ package sim
 // ApplyFlat, silently corrupts executions, like an under-reported Local
 // read-set. The fixpoint oracle tests check the declaration by
 // enumeration on small instances and by lockstep against a full-rescan
-// engine; TestUniformKernelMatchesApplyFlat checks the kernel on every
-// clock value.
+// engine; TestUniformKernelMatchesApplyFlat checks the kernel against
+// ApplyFlat on unaligned slices of 0 to 70 records with the clock's wrap
+// at every position.
 type Uniform interface {
 	UniformRule() Rule
 	ApplyUniformFlat(st []int64)

@@ -11,6 +11,7 @@ package sim_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -179,16 +180,33 @@ func mixedEnabled(p clocked) sim.Config[int] {
 }
 
 // TestUniformKernelMatchesApplyFlat checks each instance's in-place
-// kernel against ApplyFlat with the uniform rule, on every clock value in
-// every position of slices of 0 to 9 records: st[i] = (r + i) mod K for
-// every r ∈ [0, K), so the K−1 wrap lands on every position, the
-// unrolled body's and the tail's. Besides the enumerable zoo (unison at
-// K = 2, 3 and n+1, SSME, ℓ-exclusion) it runs unison on SSME's clock.
+// kernel against ApplyFlat with the uniform rule. Slices of 0 to 70
+// records start at offsets 0 to 3 of a larger slice, so on CPUs with AVX2
+// the vector body (blocks of 16 records) runs from unaligned starts, up to
+// four blocks deep, before a tail of every length; shorter slices run the
+// portable loop alone, and the records around the slice must stay
+// untouched. st[i] = (r + i) mod K for every r ∈ [0, K) on small clocks
+// and for the 72 values at each end of [0, K) on large ones, so the K−1
+// wrap lands on every position of the unrolled bodies and the tails.
+// Besides the enumerable zoo (unison at K = 2, 3 and n+1, SSME,
+// ℓ-exclusion) it runs unison on SSME's clock and on K = MaxInt64 − 1.
+// TestUniformTickPathsMatchApplyFlat in internal/unison checks the vector
+// and portable paths of unison's kernel each on its own.
 func TestUniformKernelMatchesApplyFlat(t *testing.T) {
 	t.Parallel()
 	ssme := core.MustNew(graph.Ring(5))
 	x := ssme.Clock()
-	cases := append(enumerableZoo(t), newUnison(t, graph.Ring(5), x.Alpha, x.K), uniformCase{"ssme@ring-5", ssme})
+	cases := append(enumerableZoo(t),
+		newUnison(t, graph.Ring(5), x.Alpha, x.K), uniformCase{"ssme@ring-5", ssme},
+		newUnison(t, graph.Ring(5), 3, math.MaxInt64-1))
+	const maxLen, pad = 70, 4
+	vs := make([]int, maxLen)
+	rules := make([]sim.Rule, maxLen)
+	buf := make([]int64, maxLen+2*pad)
+	want := make([]int64, maxLen)
+	for i := range vs {
+		vs[i] = i
+	}
 	for _, tc := range cases {
 		u, ok := tc.p.(sim.Uniform)
 		if !ok {
@@ -200,23 +218,41 @@ func TestUniformKernelMatchesApplyFlat(t *testing.T) {
 		}
 		k := int64(tc.p.Clock().K)
 		rule := u.UniformRule()
-		for size := 0; size <= 9; size++ {
-			vs := make([]int, size)
-			rules := make([]sim.Rule, size)
-			for i := range vs {
-				vs[i], rules[i] = i, rule
-			}
-			st := make([]int64, size)
-			want := make([]int64, size)
-			for r := int64(0); r < k; r++ {
-				for i := range st {
-					st[i] = (r + int64(i)) % k
-				}
-				fl.ApplyFlat(st, 1, 0, vs, rules, want, 1, 0)
-				before := slices.Clone(st)
-				u.ApplyUniformFlat(st)
-				if !slices.Equal(st, want) {
-					t.Fatalf("%s: kernel on %v = %v, ApplyFlat(%s) = %v", tc.name, before, st, tc.p.RuleName(rule), want)
+		for i := range rules {
+			rules[i] = rule
+		}
+		var rs []int64
+		for r := int64(0); r < min(k, 72); r++ {
+			rs = append(rs, r)
+		}
+		for r := max(k-72, 72); r < k; r++ {
+			rs = append(rs, r)
+		}
+		for size := 0; size <= maxLen; size++ {
+			for off := 0; off < pad; off++ {
+				for _, r := range rs {
+					for i := range buf {
+						buf[i] = -int64(i) - 1
+					}
+					st := buf[off : off+size]
+					for i := range st {
+						// (r + i) mod K, without overflow near MaxInt64.
+						if d := int64(i) % k; d < k-r {
+							st[i] = r + d
+						} else {
+							st[i] = d - (k - r)
+						}
+					}
+					fl.ApplyFlat(st, 1, 0, vs[:size], rules[:size], want, 1, 0)
+					before := slices.Clone(buf)
+					u.ApplyUniformFlat(st)
+					if !slices.Equal(st, want[:size]) {
+						t.Fatalf("%s, offset %d: kernel on %v = %v, ApplyFlat(%s) = %v",
+							tc.name, off, before[off:off+size], st, tc.p.RuleName(rule), want[:size])
+					}
+					if !slices.Equal(buf[:off], before[:off]) || !slices.Equal(buf[off+size:], before[off+size:]) {
+						t.Fatalf("%s, offset %d, %d records: kernel wrote outside its slice", tc.name, off, size)
+					}
 				}
 			}
 		}
@@ -237,7 +273,9 @@ func TestUniformKernelMatchesApplyFlat(t *testing.T) {
 // with ShardSize 9 (shards of 16, 16 and 6 vertices after the cache-line
 // rounding) and at Workers 8 with ShardSize 5 (seven shards of 5 and one
 // of 3), so the in-place kernel's shards end off a multiple of its
-// four-record stride.
+// four-record stride; on a 90-ring they run at Workers 4 with ShardSize
+// 24 (shards of 24, 24, 24 and 18), so concurrent shards each run a
+// 16-record vector block on CPUs with AVX2 and then a tail.
 func TestUniformEngineMatchesRescanTwin(t *testing.T) {
 	t.Parallel()
 	for _, tc := range engineZoo(t) {
@@ -248,17 +286,25 @@ func TestUniformEngineMatchesRescanTwin(t *testing.T) {
 			})
 		}
 	}
-	g := graph.Ring(38)
-	for _, tc := range []uniformCase{
-		newUnison(t, g, g.HoleBound()-2, g.N()+2),
-		{"ssme@" + g.Name(), core.MustNew(g)},
-		{"lexclusion[ℓ=3]@" + g.Name(), lexclusion.MustNew(g, 3)},
+	for _, ring := range []struct {
+		n    int
+		opts []sim.Options
+	}{
+		{38, []sim.Options{{Workers: 4, ShardSize: 9}, {Workers: 8, ShardSize: 5}}},
+		{90, []sim.Options{{Workers: 4, ShardSize: 24}}},
 	} {
-		for _, opts := range []sim.Options{{Workers: 4, ShardSize: 9}, {Workers: 8, ShardSize: 5}} {
-			t.Run(fmt.Sprintf("%s/workers-%d/shard-%d", tc.name, opts.Workers, opts.ShardSize), func(t *testing.T) {
-				t.Parallel()
-				checkUniformLockstep(t, tc.p, opts)
-			})
+		g := graph.Ring(ring.n)
+		for _, tc := range []uniformCase{
+			newUnison(t, g, g.HoleBound()-2, g.N()+2),
+			{"ssme@" + g.Name(), core.MustNew(g)},
+			{"lexclusion[ℓ=3]@" + g.Name(), lexclusion.MustNew(g, 3)},
+		} {
+			for _, opts := range ring.opts {
+				t.Run(fmt.Sprintf("%s/workers-%d/shard-%d", tc.name, opts.Workers, opts.ShardSize), func(t *testing.T) {
+					t.Parallel()
+					checkUniformLockstep(t, tc.p, opts)
+				})
+			}
 		}
 	}
 }

@@ -205,11 +205,30 @@ func (p *Protocol) UniformRule() sim.Rule { return RuleNA }
 
 // ApplyUniformFlat implements sim.Uniform: every register ticks
 // r ↦ r+1 mod K in place. NA is enabled only on r ∈ [0, K), so r+1 lies
-// in [1, K] and wraps only at K: (r+1−K)>>63 is all ones below K and 0 at
-// K, and masking r+1 with it is the tick without a branch. Four registers
-// per iteration, then the tail.
-func (p *Protocol) ApplyUniformFlat(st []int64) {
-	k := int64(p.x.K)
+// in [1, K] and wraps only at K. On CPUs with AVX2 the whole 16-register
+// blocks run in the vector kernel (tick_amd64.s) and the rest in tick;
+// elsewhere tick runs alone.
+func (p *Protocol) ApplyUniformFlat(st []int64) { tickWith(tickVector, st, int64(p.x.K)) }
+
+// tickVector is the vector tick, set at package init where the CPU has
+// one: tick for len(st) a multiple of 16. Nil elsewhere.
+var tickVector func(st []int64, k int64)
+
+// tickWith ticks the whole 16-register blocks of st with vec, unless vec
+// is nil, and the rest with tick.
+func tickWith(vec func(st []int64, k int64), st []int64, k int64) {
+	if vec != nil {
+		n := len(st) &^ 15
+		vec(st[:n], k)
+		st = st[n:]
+	}
+	tick(st, k)
+}
+
+// tick is the portable uniform tick: (r+1−K)>>63 is all ones below K and
+// 0 at K, and masking r+1 with it is the tick without a branch. Four
+// registers per iteration, then the tail.
+func tick(st []int64, k int64) {
 	i := 0
 	for ; i+4 <= len(st); i += 4 {
 		s := st[i : i+4 : i+4]
